@@ -55,25 +55,6 @@ inline Tail HighestTail(const std::vector<double>& sorted) {
   return tail;
 }
 
-/// Percentile `p` of each consecutive block of `block` samples (in arrival
-/// order; a short tail block is dropped), then the median across blocks.
-/// A rare stall of the host lands in one block and moves this estimate by
-/// at most one block's rank, where it would shift a whole-window p99.
-inline double BlockMedianPercentile(const std::vector<double>& in_order,
-                                    size_t block, double p) {
-  std::vector<double> per_block;
-  for (size_t b = 0; b + block <= in_order.size(); b += block) {
-    std::vector<double> v(in_order.begin() + b, in_order.begin() + b + block);
-    std::sort(v.begin(), v.end());
-    per_block.push_back(Percentile(v, p));
-  }
-  if (per_block.empty()) return 0.0;
-  std::sort(per_block.begin(), per_block.end());
-  const size_t n = per_block.size();
-  return n % 2 == 1 ? per_block[n / 2]
-                    : 0.5 * (per_block[n / 2 - 1] + per_block[n / 2]);
-}
-
 /// True when the rule allows reporting percentile `p` of `n` samples.
 inline bool TailSupported(int64_t n, double p) {
   return SamplesBeyond(n, p) >= 10;

@@ -56,7 +56,7 @@ using zoomer::serving::SessionToken;
 constexpr int kDim = 32;
 constexpr int kTopN = 100;
 // Set-up is ~0.1 s, so its median needs many repetitions to be steady.
-constexpr int kSetupReps = 11;
+constexpr int kSetupReps = 21;
 constexpr int kHandlerThreads = 2;
 // Sleep only until 2 ms before a due time and spin the rest: sleeps on this
 // class of host overshoot by up to milliseconds at p99.
@@ -64,14 +64,21 @@ constexpr int64_t kSpinNs = 2'000'000;
 constexpr double kWarmupSeconds = 2.0;
 constexpr double kDrainSeconds = 3.0;
 // Ladder rung conditions: p99 within this limit, no failures, no growing
-// backlog.
-constexpr double kP99LimitMs = 2.0;
+// backlog. Past the knee the p99 climbs to 50-130 ms within a rung or two;
+// below it, serve_ingest's stalls (folds, checkpoints, engine waits) put
+// single rungs at 5-30 ms.
+constexpr double kP99LimitMs = 25.0;
 // The ladder ends after this many failing rungs in a row, so one rung a
 // host stall spoiled does not end it.
-constexpr int kMaxFailedRungs = 2;
-// Requests per block of the block-median p99 (10 samples beyond each
-// block's p99).
-constexpr size_t kBlock = 1000;
+constexpr int kMaxFailedRungs = 3;
+// Share of the window at the nominal rate; the rate ladder takes the rest.
+constexpr double kNominalShare = 0.6;
+// A read the generator sent more than this after its due time was delayed
+// by the host (the generator spins alone on its CPU, and the ring has room
+// for 32768 reads, more than a rung's backlog before it counts as growing),
+// not by the program. The latencies of the nominal phase and of each rung
+// leave such reads out; the report counts them.
+constexpr int64_t kLateSendNs = 50'000;
 
 struct ServeConfig {
   double nominal_qps = 0;
@@ -83,20 +90,19 @@ struct ServeConfig {
 ServeConfig ConfigFor(bool ingest) {
   ServeConfig c;
   c.nominal_qps = 5000;
+  // Two low rungs, then 16 steps of 5% from `first` across the knee. On a
+  // 4-vCPU virtual machine the knee moved with the host's load, over 40k-60k
+  // req/s on serve_warm and 30k-47k on serve_ingest, where the writes keep
+  // their nominal rate on every rung.
+  double first = 36000;
   if (ingest) {
-    // No ladder: the whole window runs at the nominal rates, where the
-    // background work (ingest, folds, checkpoints, engine) makes a rate
-    // knee too noisy to bound.
     c.write_sessions_per_s = 400;
-    c.ryw_share = 0.005;
-  } else {
-    // Two low rungs, then 5% steps from 36k req/s across the knee (50k to
-    // 60k on a 4-vCPU host) up to about 75k.
-    const double first = 36000;
-    c.ladder_qps = {first / 3, first * 2 / 3};
-    for (int k = 0; k < 16; ++k) {
-      c.ladder_qps.push_back(first * std::pow(1.05, k));
-    }
+    c.ryw_share = 0.10;
+    first = 24000;
+  }
+  c.ladder_qps = {first / 3, first * 2 / 3};
+  for (int k = 0; k < 16; ++k) {
+    c.ladder_qps.push_back(first * std::pow(1.05, k));
   }
   return c;
 }
@@ -401,7 +407,9 @@ struct Phase {
         read_qps(read_qps),
         traced(traced),
         capacity(static_cast<size_t>(read_qps * seconds) + 16),
-        read_ns(new std::atomic<int64_t>[capacity]) {
+        read_ns(new std::atomic<int64_t>[capacity]),
+        ryw(capacity, 0),
+        sent_late(capacity, 0) {
     for (size_t i = 0; i < capacity; ++i) read_ns[i].store(kPending);
   }
   int index;
@@ -409,6 +417,8 @@ struct Phase {
   bool traced;
   size_t capacity;
   std::unique_ptr<std::atomic<int64_t>[]> read_ns;  // due -> response
+  std::vector<uint8_t> ryw;        // read carries a SessionToken
+  std::vector<uint8_t> sent_late;  // sent > kLateSendNs after its due time
   std::atomic<int64_t> reads_done{0};
   int64_t reads_sent = 0;  // generator thread only
   GeneratorReport gen;
@@ -420,13 +430,14 @@ struct Phase {
     if (reads_done.load() < gen.sent[0]) return;
     read_ns.reset();
     std::vector<double>().swap(lat_ms);
-    std::vector<double>().swap(in_order);
+    std::vector<double>().swap(on_time_ms);
+    std::vector<double>().swap(ryw_lat_ms);
     std::vector<double>().swap(gen.lateness_us);
   }
   // Filled by Summarize.
-  std::vector<double> lat_ms;    // ascending, succeeded reads
-  std::vector<double> in_order;  // the same, in due-time order
-  double block_p99_ms = 0;       // BlockMedianPercentile(in_order, 99)
+  std::vector<double> lat_ms;      // ascending, succeeded reads
+  std::vector<double> on_time_ms;  // ascending, the ones not sent late
+  std::vector<double> ryw_lat_ms;  // ascending, the read-your-writes ones
   int64_t failed = 0;
 };
 
@@ -485,12 +496,13 @@ class ServeRunner {
     bool mid_taken = false;
     ph->gen = RunOpenLoop(
         clock, start, seconds, streams, kSpinNs,
-        [&](int stream, int64_t i, int64_t due, int64_t) {
+        [&](int stream, int64_t i, int64_t due, int64_t now) {
           if (!mid_taken && due >= mid) {
             mid_taken = true;
             ph->backlog_mid = ph->reads_sent - ph->reads_done.load();
           }
           if (stream == 0) {
+            ph->sent_late[i] = now - due > kLateSendNs;
             SubmitRead(ph, i, due);
           } else {
             OfferWrite(ph, due);
@@ -544,6 +556,7 @@ class ServeRunner {
         const auto& s = st_->live[w % st_->live.size()];
         req = {s.user, s.query};
         token.Observe(st_->writes->epoch[w].load());
+        ph->ryw[i] = 1;
         ++ryw_sent_;
       } else {
         req = {users_->Pick(&rng_), queries_->Pick(&rng_)};
@@ -592,14 +605,16 @@ class ServeRunner {
     for (int64_t i = 0; i < sent; ++i) {
       const int64_t ns = ph->read_ns[i].load();
       if (ns >= 0) {
-        ph->in_order.push_back(static_cast<double>(ns) / 1e6);
+        ph->lat_ms.push_back(static_cast<double>(ns) / 1e6);
+        if (!ph->sent_late[i]) ph->on_time_ms.push_back(ph->lat_ms.back());
+        if (ph->ryw[i]) ph->ryw_lat_ms.push_back(ph->lat_ms.back());
       } else {
         ++ph->failed;  // failed check or not completed by the deadline
       }
     }
-    ph->lat_ms = ph->in_order;
     std::sort(ph->lat_ms.begin(), ph->lat_ms.end());
-    ph->block_p99_ms = BlockMedianPercentile(ph->in_order, kBlock, 99);
+    std::sort(ph->on_time_ms.begin(), ph->on_time_ms.end());
+    std::sort(ph->ryw_lat_ms.begin(), ph->ryw_lat_ms.end());
   }
 
   CpuPlan cpus_;
@@ -647,17 +662,28 @@ void PrintPhase(const char* label, const Phase& ph) {
   std::sort(late.begin(), late.end());
   std::printf(
       "  %-10s %7.0f qps: sent %7lld ok %7lld failed %4lld  p50 %7.4f ms  "
-      "p99 %7.4f ms (block median %7.4f)  p%g %7.4f ms (n=%lld)  "
+      "p99 %7.4f ms  p%g %7.4f ms (n=%lld)  "
       "backlog %lld->%lld  "
       "late p50 %.1f us p99 %.1f us\n",
       label, ph.read_qps, static_cast<long long>(ph.gen.sent[0]),
       static_cast<long long>(ph.lat_ms.size()),
       static_cast<long long>(ph.failed), Percentile(ph.lat_ms, 50),
-      Percentile(ph.lat_ms, 99), ph.block_p99_ms, tail.percentile, tail.value,
+      Percentile(ph.lat_ms, 99), tail.percentile, tail.value,
       static_cast<long long>(tail.count),
       static_cast<long long>(ph.backlog_mid),
       static_cast<long long>(ph.backlog_end), Percentile(late, 50),
       Percentile(late, 99));
+  std::printf("  %-10s sent late (> %lld us after due): %zu; p50 %7.4f ms  "
+              "p99 %7.4f ms without them\n",
+              "", static_cast<long long>(kLateSendNs / 1000),
+              ph.lat_ms.size() - ph.on_time_ms.size(),
+              Percentile(ph.on_time_ms, 50), Percentile(ph.on_time_ms, 99));
+  if (!ph.ryw_lat_ms.empty()) {
+    std::printf("  %-10s read-your-writes reads: n=%zu  p50 %7.4f ms  "
+                "p99 %7.4f ms\n",
+                "", ph.ryw_lat_ms.size(), Percentile(ph.ryw_lat_ms, 50),
+                Percentile(ph.ryw_lat_ms, 99));
+  }
 }
 
 /// Degrees and neighbor sets of the recovered graph equal the live graph's
@@ -723,16 +749,14 @@ int RunServe(const Args& args, bool ingest, Result* result) {
                 kHandlerThreads);
   }
 
-  // Window layout. Untraced: nominal 30%, ladder 70% (the ladder ends after
-  // kMaxFailedRungs failing rungs in a row); without a ladder the nominal
-  // phase takes the whole window. Traced: untraced nominal half, traced
-  // nominal half.
-  const bool ladder = !args.trace && !cfg.ladder_qps.empty();
-  const double nominal_s = args.trace ? args.seconds / 2
-                           : ladder   ? args.seconds * 0.3
-                                      : args.seconds;
+  // Window layout. Untraced: the nominal phase, then the ladder in the rest
+  // of the window (it ends after kMaxFailedRungs failing rungs in a row).
+  // Traced: untraced nominal half, traced nominal half, no ladder.
+  const bool ladder = !args.trace;
+  const double nominal_s =
+      args.trace ? args.seconds / 2 : args.seconds * kNominalShare;
   const double rung_s =
-      ladder ? args.seconds * 0.7 / cfg.ladder_qps.size() : 0;
+      ladder ? args.seconds * (1 - kNominalShare) / cfg.ladder_qps.size() : 0;
   const double total_s = kWarmupSeconds + args.seconds + 2;
   const size_t write_capacity =
       static_cast<size_t>(cfg.write_sessions_per_s * total_s) + 64;
@@ -779,7 +803,7 @@ int RunServe(const Args& args, bool ingest, Result* result) {
       r.achieved_qps = static_cast<double>(ph->done_at_end) / ph->elapsed_s;
       r.sent = ph->gen.sent[0];
       r.failed = ph->failed;
-      r.p99_ms = ph->block_p99_ms;
+      r.p99_ms = Percentile(ph->on_time_ms, 99);
       r.backlog_mid = ph->backlog_mid;
       r.backlog_end = ph->backlog_end;
       r.backlog_growing =
@@ -827,8 +851,11 @@ int RunServe(const Args& args, bool ingest, Result* result) {
   }
   result->Check("no write-tracker overflow", !runner.overflowed());
   result->Check("p99 has at least 10 samples beyond it (nominal)",
-                TailSupported(static_cast<int64_t>(nominal->lat_ms.size()),
+                TailSupported(static_cast<int64_t>(nominal->on_time_ms.size()),
                               99));
+  result->Check("the nominal rate is served without a growing backlog",
+                !BacklogGrowing(nominal->backlog_mid, nominal->backlog_end,
+                                cfg.nominal_qps, nominal_s / 2));
   if (!ingest) {
     result->Check("probe set replays identical item lists after the load",
                   runner.Replay(probes) == before);
@@ -904,24 +931,34 @@ int RunServe(const Args& args, bool ingest, Result* result) {
   // ---- Metrics. ----------------------------------------------------------
   const int best = SelectMaxRung(rungs, kP99LimitMs);
   const double max_qps = best >= 0 ? rungs[best].achieved_qps : 0.0;
-  // Without a ladder, throughput is the read rate completed within the
-  // nominal phase while the writes run beside it.
+  // The traced run has no ladder; its throughput is the read rate completed
+  // within the nominal phase.
   const double throughput =
       ladder ? max_qps
              : static_cast<double>(nominal->done_at_end) / nominal->elapsed_s;
+  if (ladder) {
+    result->Check("some ladder rung passes", best >= 0);
+  }
   const double recall = AnnRecall(*st);
-  const double p50 = Percentile(nominal->lat_ms, 50);
-  const double p99 = nominal->block_p99_ms;
+  // Nominal-phase latency over the reads the generator sent on time.
+  const double p50 = Percentile(nominal->on_time_ms, 50);
+  const double p99 = Percentile(nominal->on_time_ms, 99);
   result->Named("serve.p50_ms", p50, "ms");
   result->Named("serve.p99_ms", p99, "ms");
-  result->Named("serve.samples", static_cast<double>(nominal->lat_ms.size()),
+  result->Named("serve.samples",
+                static_cast<double>(nominal->on_time_ms.size()), "count");
+  result->Named("serve.sent_late",
+                static_cast<double>(nominal->lat_ms.size() -
+                                    nominal->on_time_ms.size()),
                 "count");
   result->Named("serve.ann_recall", recall, "fraction");
-  if (ladder) result->Named("serve.max_qps", max_qps, "req/s");
-  if (ingest) result->Named("serve.completed_qps", throughput, "req/s");
+  result->Named(ladder ? "serve.max_qps" : "serve.completed_qps", throughput,
+                "req/s");
   if (ingest) {
     result->Named("ingest.visible_p50_ms", Percentile(visible_ms, 50), "ms");
     result->Named("ingest.visible_p99_ms", Percentile(visible_ms, 99), "ms");
+    result->Named("serve.ryw_p99_ms", Percentile(nominal->ryw_lat_ms, 99),
+                  "ms");
   }
   result->E2e("setup_s", Median(setup_s), "s");
   result->E2e("peak_rss_mb", PeakRssMb(), "MiB");
