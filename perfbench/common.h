@@ -42,8 +42,8 @@ struct MetricName {
 };
 inline constexpr MetricName kE2eMetrics[] = {
     {"setup_s", "s"},           {"peak_rss_mb", "MiB"},
-    {"p50_ms", "ms"},           {"p99_ms", "ms"},
-    {"throughput_per_s", "1/s"}, {"quality", "ratio"},
+    {"latency_ms", "ms"},       {"throughput_per_s", "1/s"},
+    {"quality", "ratio"},
 };
 inline constexpr MetricName kLayerMetrics[] = {
     {"serving.handle_us.p50", "us"},
@@ -91,6 +91,7 @@ inline constexpr MetricName kLayerMetrics[] = {
     {"setup.generate_s", "s"},
     {"setup.index_build_s", "s"},
     {"setup.cache_warm_s", "s"},
+    {"latency_p99_ms", "ms"},
     {"gen.lateness_us.p50", "us"},
     {"gen.lateness_us.p99", "us"},
     {"trace.overhead_frac", "ratio"},
@@ -404,6 +405,15 @@ auto RepeatSetup(int reps, std::vector<double>* seconds, Fn&& setup) {
     seconds->push_back(static_cast<double>(NowNs() - t0) / 1e9);
   }
   return kept;
+}
+
+/// Prints the spread of the set-up repetitions.
+inline void PrintSetup(std::vector<double> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  std::printf("set-up: %zu repetitions, min %.4f s, median %.4f s, "
+              "max %.4f s\n",
+              seconds.size(), seconds.front(), Median(seconds),
+              seconds.back());
 }
 
 /// Prints a timing by the reporting rule: median plus the highest

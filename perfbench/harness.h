@@ -1,6 +1,6 @@
-// Pure measurement logic of the benchmark harness: the percentile rule, the
-// rate-ladder rung selection, backlog-growth detection and the open-loop
-// generator. Nothing here touches the library, so selftest.cc can drive it
+// Pure measurement logic of the benchmark harness: the percentile rule,
+// backlog-growth detection, the open-loop generator and the saturation
+// loop. Nothing here touches the library, so selftest.cc can drive it
 // against a fake clock.
 #ifndef PERFBENCH_HARNESS_H_
 #define PERFBENCH_HARNESS_H_
@@ -60,21 +60,9 @@ inline bool TailSupported(int64_t n, double p) {
   return SamplesBeyond(n, p) >= 10;
 }
 
-// ------------------------------------------------------------ rate ladder ---
+// ---------------------------------------------------------------- backlog ---
 
-/// Outcome of one rung of the rate ladder (reads only).
-struct RungOutcome {
-  double offered_qps = 0.0;
-  double achieved_qps = 0.0;  // completed within the rung / rung seconds
-  int64_t sent = 0;
-  int64_t failed = 0;
-  double p99_ms = 0.0;
-  int64_t backlog_mid = 0;  // requests outstanding at the rung's midpoint
-  int64_t backlog_end = 0;  // ... and at its end
-  bool backlog_growing = false;
-};
-
-/// The backlog grows when the requests outstanding rose over the rung's
+/// The backlog grows when the requests outstanding rose over a phase's
 /// second half by more than 5% of what that half offered (at least 16):
 /// below capacity the queue only fluctuates, above it the excess piles up
 /// linearly.
@@ -82,23 +70,6 @@ inline bool BacklogGrowing(int64_t backlog_mid, int64_t backlog_end,
                            double rate, double half_seconds) {
   const double tolerance = std::max(16.0, 0.05 * rate * half_seconds);
   return static_cast<double>(backlog_end - backlog_mid) > tolerance;
-}
-
-/// A rung passes when its p99 is within the latency limit, nothing failed
-/// and the backlog is not growing.
-inline bool RungPasses(const RungOutcome& rung, double p99_limit_ms) {
-  return rung.failed == 0 && rung.sent > 0 &&
-         rung.p99_ms <= p99_limit_ms && !rung.backlog_growing;
-}
-
-/// Index of the highest rung that passes, or -1 when none does.
-inline int SelectMaxRung(const std::vector<RungOutcome>& rungs,
-                         double p99_limit_ms) {
-  int best = -1;
-  for (size_t i = 0; i < rungs.size(); ++i) {
-    if (RungPasses(rungs[i], p99_limit_ms)) best = static_cast<int>(i);
-  }
-  return best;
 }
 
 // -------------------------------------------------------------- generator ---
@@ -157,6 +128,41 @@ GeneratorReport RunOpenLoop(Clock& clock, int64_t start_ns, double seconds,
     emit(pick, next[pick], due, now);
     ++next[pick];
     ++report.sent[pick];
+  }
+  return report;
+}
+
+/// Saturation loop on one thread: a closed-loop read stream beside an
+/// open-loop write stream. Writes are emitted at their due times as in
+/// RunOpenLoop; between them a read is emitted whenever fewer than
+/// `max_in_flight` are outstanding (in_flight() counts them). Reads are due
+/// when emitted. emit(stream, index, due_ns, now_ns) as in RunOpenLoop;
+/// lateness_us holds the writes' lateness only.
+template <typename Clock, typename InFlight, typename Emit>
+GeneratorReport RunSaturated(Clock& clock, int64_t start_ns, double seconds,
+                             double write_rate, int64_t max_in_flight,
+                             InFlight&& in_flight, Emit&& emit) {
+  GeneratorReport report;
+  const int64_t end_ns = start_ns + static_cast<int64_t>(seconds * 1e9);
+  auto write_due = [&](int64_t i) -> int64_t {
+    return start_ns +
+           static_cast<int64_t>(static_cast<double>(i) * 1e9 / write_rate);
+  };
+  if (clock.Now() < start_ns) clock.SleepUntil(start_ns);
+  for (;;) {
+    const int64_t now = clock.Now();
+    if (now >= end_ns) break;
+    if (write_rate > 0.0 && write_due(report.sent[1]) <= now) {
+      const int64_t due = write_due(report.sent[1]);
+      report.lateness_us.push_back(static_cast<double>(now - due) / 1e3);
+      emit(1, report.sent[1], due, now);
+      ++report.sent[1];
+    } else if (in_flight() < max_in_flight) {
+      emit(0, report.sent[0], now, now);
+      ++report.sent[0];
+    } else {
+      clock.Relax();
+    }
   }
   return report;
 }

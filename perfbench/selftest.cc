@@ -1,8 +1,9 @@
-// Self-tests of the harness logic: the percentile rule, rung selection with
-// growing-backlog detection and the generator's lateness accounting against
-// a fake clock (harness.h), and the handler ring under concurrent
+// Self-tests of the harness logic: the percentile rule, growing-backlog
+// detection, and the generator's lateness accounting and the saturation
+// loop against a fake clock (harness.h), and the handler ring under concurrent
 // consumers (spin_pool.h). Prints one line per failed expectation and exits
 // non-zero if any failed.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -64,23 +65,8 @@ void TestPercentileRule() {
          "TailSupported matches the rule");
 }
 
-perfbench::RungOutcome Rung(double qps, double p99, int64_t failed,
-                            int64_t mid, int64_t end) {
-  perfbench::RungOutcome r;
-  r.offered_qps = qps;
-  r.achieved_qps = qps;
-  r.sent = static_cast<int64_t>(qps);
-  r.failed = failed;
-  r.p99_ms = p99;
-  r.backlog_mid = mid;
-  r.backlog_end = end;
-  r.backlog_growing = perfbench::BacklogGrowing(mid, end, qps, 1.0);
-  return r;
-}
-
-void TestRungSelection() {
+void TestBacklogGrowth() {
   using perfbench::BacklogGrowing;
-  using perfbench::SelectMaxRung;
   // Tolerance: max(16, 5% of the half's offered requests).
   Expect(!BacklogGrowing(3, 10, 1000, 1.0), "small fluctuation is not growth");
   Expect(!BacklogGrowing(0, 50, 1000, 1.0), "exactly 5% is not growth");
@@ -88,23 +74,6 @@ void TestRungSelection() {
   Expect(!BacklogGrowing(0, 16, 10, 1.0), "the floor of 16 applies");
   Expect(BacklogGrowing(0, 17, 10, 1.0), "above the floor is growth");
   Expect(!BacklogGrowing(500, 20, 1000, 1.0), "a draining backlog is fine");
-
-  const double limit = 2.0;
-  std::vector<perfbench::RungOutcome> rungs = {
-      Rung(1000, 0.5, 0, 1, 2), Rung(2000, 0.9, 0, 2, 3),
-      Rung(4000, 1.5, 0, 5, 6)};
-  Expect(SelectMaxRung(rungs, limit) == 2, "all rungs pass -> the top one");
-  rungs.push_back(Rung(8000, 2.5, 0, 5, 6));
-  Expect(SelectMaxRung(rungs, limit) == 2, "p99 over the limit fails");
-  rungs.back() = Rung(8000, 1.0, 1, 5, 6);
-  Expect(SelectMaxRung(rungs, limit) == 2, "a failed request fails the rung");
-  rungs.back() = Rung(8000, 1.0, 0, 100, 2000);
-  Expect(SelectMaxRung(rungs, limit) == 2, "a growing backlog fails the rung");
-  rungs.back() = Rung(8000, 1.9, 0, 100, 90);
-  Expect(SelectMaxRung(rungs, limit) == 3, "a passing top rung is selected");
-  Expect(SelectMaxRung({Rung(1000, 3.0, 0, 0, 0)}, limit) == -1,
-         "no passing rung gives -1");
-  Expect(SelectMaxRung({}, limit) == -1, "an empty ladder gives -1");
 }
 
 /// Fake clock: every Now() advances time by `tick_ns`; SleepUntil jumps.
@@ -183,6 +152,44 @@ void TestLateness() {
   }
 }
 
+/// The saturation loop keeps at most `max_in_flight` reads outstanding and
+/// still emits every write on schedule.
+void TestSaturation() {
+  using perfbench::RunSaturated;
+  // Reads complete 10 µs after they are sent; writes at 1000/s for 10 ms.
+  FakeClock clock;
+  std::vector<int64_t> sent_at;
+  int64_t worst_in_flight = 0;
+  auto in_flight = [&] {
+    int64_t n = 0;
+    for (int64_t t : sent_at) n += clock.now - t < 10'000 ? 1 : 0;
+    return n;
+  };
+  std::vector<int64_t> write_dues;
+  const auto rep = RunSaturated(
+      clock, 0, 0.010, 1000, 4, in_flight,
+      [&](int s, int64_t, int64_t due, int64_t now) {
+        if (s == 0) {
+          Expect(due == now, "a saturated read is due when it is sent");
+          sent_at.push_back(now);
+          worst_in_flight = std::max(worst_in_flight, in_flight());
+        } else {
+          write_dues.push_back(due);
+        }
+      });
+  Expect(worst_in_flight <= 4, "at most max_in_flight reads outstanding");
+  Expect(rep.sent[0] > 100, "reads keep flowing while there is room");
+  bool on_schedule = rep.sent[1] == 10;
+  for (size_t i = 0; i < write_dues.size(); ++i) {
+    on_schedule &= write_dues[i] == static_cast<int64_t>(i) * 1'000'000;
+  }
+  Expect(on_schedule, "writes are emitted on their schedule");
+  double worst = 0;
+  for (double l : rep.lateness_us) worst = std::max(worst, l);
+  Expect(rep.lateness_us.size() == 10 && worst <= 2.0 + 1e-9,
+         "writes are not held up by the reads");
+}
+
 /// Every task pushed through a small ring (many wrap-arounds) is handled
 /// exactly once by two polling consumers.
 void TestSpinPool() {
@@ -210,8 +217,9 @@ void TestSpinPool() {
 int main() {
   TestSpinPool();
   TestPercentileRule();
-  TestRungSelection();
+  TestBacklogGrowth();
   TestLateness();
+  TestSaturation();
   if (failures == 0) std::printf("selftest: all harness checks passed\n");
   return failures == 0 ? 0 : 1;
 }

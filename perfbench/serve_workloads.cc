@@ -1,6 +1,6 @@
-// `serve_warm` and `serve_ingest` workloads: an open-loop generator on one
-// thread offers requests to OnlineServer through a 2-thread handler pool,
-// first at a nominal rate, then up a fixed rate ladder.
+// `serve_warm` and `serve_ingest` workloads: one generator thread offers
+// requests to OnlineServer through a 2-thread handler pool, first open-loop
+// at a nominal rate, then closed-loop at saturation.
 //
 //  serve_warm    static graph; requests drawn uniformly from a fixed
 //                (user, query) pool whose neighbor-cache entries are all
@@ -18,7 +18,6 @@
 // Latency is stamped from each request's due time, not its submit time.
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -63,20 +62,19 @@ constexpr int kHandlerThreads = 2;
 constexpr int64_t kSpinNs = 2'000'000;
 constexpr double kWarmupSeconds = 2.0;
 constexpr double kDrainSeconds = 3.0;
-// Ladder rung conditions: p99 within this limit, no failures, no growing
-// backlog. Past the knee the p99 climbs to 50-130 ms within a rung or two;
-// below it, serve_ingest's stalls (folds, checkpoints, engine waits) put
-// single rungs at 5-30 ms.
-constexpr double kP99LimitMs = 25.0;
-// The ladder ends after this many failing rungs in a row, so one rung a
-// host stall spoiled does not end it.
-constexpr int kMaxFailedRungs = 3;
-// Share of the window at the nominal rate; the rate ladder takes the rest.
+// Share of the window at the nominal rate; the saturation phase takes the
+// rest.
 constexpr double kNominalShare = 0.6;
+// Saturation phase: reads outstanding at once, enough to keep both
+// handlers busy. Its rate is the median over 1 s blocks: the program's
+// periodic work (folds every 0.25 s, checkpoints every 0.5 s) falls in
+// every block, while a host storm of a few seconds moves only the blocks
+// it covers.
+constexpr int64_t kSaturationInFlight = 32;
+constexpr int64_t kRateBlockNs = 1'000'000'000;
 // A read the generator sent more than this after its due time was delayed
 // by the host (the generator spins alone on its CPU, and the ring has room
-// for 32768 reads, more than a rung's backlog before it counts as growing),
-// not by the program. The latencies of the nominal phase and of each rung
+// for 32768 reads), not by the program. The nominal phase's latencies
 // leave such reads out; the report counts them.
 constexpr int64_t kLateSendNs = 50'000;
 
@@ -84,25 +82,14 @@ struct ServeConfig {
   double nominal_qps = 0;
   double write_sessions_per_s = 0;  // 0 = no writes
   double ryw_share = 0;             // reads carrying a SessionToken
-  std::vector<double> ladder_qps;
 };
 
 ServeConfig ConfigFor(bool ingest) {
   ServeConfig c;
   c.nominal_qps = 5000;
-  // Two low rungs, then 16 steps of 5% from `first` across the knee. On a
-  // 4-vCPU virtual machine the knee moved with the host's load, over 40k-60k
-  // req/s on serve_warm and 30k-47k on serve_ingest, where the writes keep
-  // their nominal rate on every rung.
-  double first = 36000;
   if (ingest) {
     c.write_sessions_per_s = 400;
     c.ryw_share = 0.10;
-    first = 24000;
-  }
-  c.ladder_qps = {first / 3, first * 2 / 3};
-  for (int k = 0; k < 16; ++k) {
-    c.ladder_qps.push_back(first * std::pow(1.05, k));
   }
   return c;
 }
@@ -400,40 +387,36 @@ bool ValidResponse(const zoomer::serving::ServingResponse& r,
 constexpr int64_t kPending = -1;
 constexpr int64_t kFailed = -2;
 
-/// One load phase: reads (and writes) at fixed rates for a fixed time.
+/// One load phase: reads (and writes) at fixed rates for a fixed time, or
+/// reads at saturation (read_qps 0) beside writes at a fixed rate. Only a
+/// fixed-rate phase keeps per-read latencies; a saturation phase counts.
 struct Phase {
   Phase(int index, double read_qps, double seconds, bool traced)
       : index(index),
         read_qps(read_qps),
         traced(traced),
-        capacity(static_cast<size_t>(read_qps * seconds) + 16),
+        capacity(read_qps > 0
+                     ? static_cast<size_t>(read_qps * seconds) + 16
+                     : 0),
         read_ns(new std::atomic<int64_t>[capacity]),
         ryw(capacity, 0),
         sent_late(capacity, 0) {
     for (size_t i = 0; i < capacity; ++i) read_ns[i].store(kPending);
   }
   int index;
-  double read_qps;
+  double read_qps;  // 0 = saturation
   bool traced;
   size_t capacity;
   std::unique_ptr<std::atomic<int64_t>[]> read_ns;  // due -> response
   std::vector<uint8_t> ryw;        // read carries a SessionToken
   std::vector<uint8_t> sent_late;  // sent > kLateSendNs after its due time
   std::atomic<int64_t> reads_done{0};
+  std::atomic<int64_t> reads_invalid{0};  // saturation phase only
   int64_t reads_sent = 0;  // generator thread only
   GeneratorReport gen;
   int64_t backlog_mid = 0, backlog_end = 0, done_at_end = 0;
   double elapsed_s = 0;  // schedule start -> generator done (measured)
-  /// Frees the per-request arrays once every read has completed (a late
-  /// handler may still write into read_ns otherwise).
-  void Release() {
-    if (reads_done.load() < gen.sent[0]) return;
-    read_ns.reset();
-    std::vector<double>().swap(lat_ms);
-    std::vector<double>().swap(on_time_ms);
-    std::vector<double>().swap(ryw_lat_ms);
-    std::vector<double>().swap(gen.lateness_us);
-  }
+  std::vector<double> block_qps;  // saturation: reads completed per second
   // Filled by Summarize.
   std::vector<double> lat_ms;      // ascending, succeeded reads
   std::vector<double> on_time_ms;  // ascending, the ones not sent late
@@ -483,14 +466,11 @@ class ServeRunner {
   }
   ~ServeRunner() { handlers_.Shutdown(); }
 
+  /// Open loop: reads and writes at fixed rates.
   Phase* Run(double read_qps, double write_sps, double seconds, bool traced) {
-    phases_.push_back(std::make_unique<Phase>(
-        static_cast<int>(phases_.size()), read_qps, seconds, traced));
-    Phase* ph = phases_.back().get();
+    Phase* ph = BeginPhase(read_qps, seconds, traced);
     const StreamPlan streams[2] = {{read_qps}, {write_sps}};
     RealClock clock;
-    handlers_.SetPolling(true);
-    if (cpus_.generator >= 0) PinToCpu(cpus_.generator);
     const int64_t start = NowNs() + 1'000'000;
     const int64_t mid = start + static_cast<int64_t>(seconds * 0.5e9);
     bool mid_taken = false;
@@ -508,19 +488,38 @@ class ServeRunner {
             OfferWrite(ph, due);
           }
         });
-    ph->done_at_end = ph->reads_done.load();
-    ph->elapsed_s = static_cast<double>(NowNs() - start) / 1e9;
-    ph->backlog_end = ph->gen.sent[0] - ph->done_at_end;
-    // Drain: a request not completed by the deadline counts as failed.
-    const int64_t deadline =
-        NowNs() + static_cast<int64_t>(kDrainSeconds * 1e9);
-    while (ph->reads_done.load() < ph->gen.sent[0] && NowNs() < deadline) {
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
-    }
-    handlers_.SetPolling(false);
-    if (cpus_.background >= 0) PinToCpu(cpus_.background);
-    Summarize(ph);
-    return ph;
+    return EndPhase(ph, start);
+  }
+
+  /// Closed loop: reads back to back with kSaturationInFlight outstanding,
+  /// writes at their fixed rate. Read latency runs from the send.
+  Phase* RunSaturated(double write_sps, double seconds) {
+    Phase* ph = BeginPhase(0, seconds, false);
+    RealClock clock;
+    const int64_t start = NowNs() + 1'000'000;
+    int64_t block_start = start, block_done = 0;
+    ph->gen = perfbench::RunSaturated(
+        clock, start, seconds, write_sps, kSaturationInFlight,
+        [&] {
+          const int64_t now = NowNs();
+          if (now - block_start >= kRateBlockNs) {
+            const int64_t done = ph->reads_done.load();
+            ph->block_qps.push_back(static_cast<double>(done - block_done) *
+                                    1e9 /
+                                    static_cast<double>(now - block_start));
+            block_start = now;
+            block_done = done;
+          }
+          return ph->reads_sent - ph->reads_done.load();
+        },
+        [&](int stream, int64_t i, int64_t due, int64_t) {
+          if (stream == 0) {
+            SubmitRead(ph, i, due);
+          } else {
+            OfferWrite(ph, due);
+          }
+        });
+    return EndPhase(ph, start);
   }
 
   /// Sequential replay of fixed requests (probe-set identity check).
@@ -545,6 +544,30 @@ class ServeRunner {
   bool overflowed() const { return overflow_; }
 
  private:
+  Phase* BeginPhase(double read_qps, double seconds, bool traced) {
+    phases_.push_back(std::make_unique<Phase>(
+        static_cast<int>(phases_.size()), read_qps, seconds, traced));
+    handlers_.SetPolling(true);
+    if (cpus_.generator >= 0) PinToCpu(cpus_.generator);
+    return phases_.back().get();
+  }
+
+  Phase* EndPhase(Phase* ph, int64_t start) {
+    ph->done_at_end = ph->reads_done.load();
+    ph->elapsed_s = static_cast<double>(NowNs() - start) / 1e9;
+    ph->backlog_end = ph->gen.sent[0] - ph->done_at_end;
+    // Drain: a request not completed by the deadline counts as failed.
+    const int64_t deadline =
+        NowNs() + static_cast<int64_t>(kDrainSeconds * 1e9);
+    while (ph->reads_done.load() < ph->gen.sent[0] && NowNs() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+    handlers_.SetPolling(false);
+    if (cpus_.background >= 0) PinToCpu(cpus_.background);
+    Summarize(ph);
+    return ph;
+  }
+
   void SubmitRead(Phase* ph, int64_t i, int64_t due) {
     ServingRequest req;
     SessionToken token;
@@ -556,7 +579,7 @@ class ServeRunner {
         const auto& s = st_->live[w % st_->live.size()];
         req = {s.user, s.query};
         token.Observe(st_->writes->epoch[w].load());
-        ph->ryw[i] = 1;
+        if (ph->capacity > 0) ph->ryw[i] = 1;
         ++ryw_sent_;
       } else {
         req = {users_->Pick(&rng_), queries_->Pick(&rng_)};
@@ -579,7 +602,11 @@ class ServeRunner {
       spans_.Record(kSpanDispatch, id, t.due_ns, s);
       spans_.Record(kSpanHandle, id, s, e);
     }
-    ph->read_ns[t.index].store(ok ? e - t.due_ns : kFailed);
+    if (ph->capacity > 0) {
+      ph->read_ns[t.index].store(ok ? e - t.due_ns : kFailed);
+    } else if (!ok) {
+      ph->reads_invalid.fetch_add(1);
+    }
     ph->reads_done.fetch_add(1);
   }
 
@@ -602,6 +629,10 @@ class ServeRunner {
 
   void Summarize(Phase* ph) {
     const int64_t sent = ph->gen.sent[0];
+    if (ph->capacity == 0) {  // saturation: invalid or not completed
+      ph->failed = ph->reads_invalid.load() + sent - ph->reads_done.load();
+      return;
+    }
     for (int64_t i = 0; i < sent; ++i) {
       const int64_t ns = ph->read_ns[i].load();
       if (ns >= 0) {
@@ -657,6 +688,20 @@ double AnnRecall(const ServeStack& st) {
 }
 
 void PrintPhase(const char* label, const Phase& ph) {
+  if (ph.capacity == 0) {
+    std::vector<double> blocks = ph.block_qps;
+    std::sort(blocks.begin(), blocks.end());
+    std::printf("  %-10s %7.0f qps completed: sent %7lld failed %4lld  "
+                "(%lld in flight); 1 s blocks: min %.0f median %.0f max %.0f "
+                "(n=%zu)\n",
+                label, static_cast<double>(ph.done_at_end) / ph.elapsed_s,
+                static_cast<long long>(ph.gen.sent[0]),
+                static_cast<long long>(ph.failed),
+                static_cast<long long>(kSaturationInFlight),
+                Percentile(blocks, 0), Median(blocks),
+                Percentile(blocks, 100), blocks.size());
+    return;
+  }
   const Tail tail = HighestTail(ph.lat_ms);
   std::vector<double> late = ph.gen.lateness_us;
   std::sort(late.begin(), late.end());
@@ -749,14 +794,12 @@ int RunServe(const Args& args, bool ingest, Result* result) {
                 kHandlerThreads);
   }
 
-  // Window layout. Untraced: the nominal phase, then the ladder in the rest
-  // of the window (it ends after kMaxFailedRungs failing rungs in a row).
-  // Traced: untraced nominal half, traced nominal half, no ladder.
-  const bool ladder = !args.trace;
+  // Window layout. Untraced: the nominal phase, then the saturation phase
+  // in the rest of the window. Traced: untraced nominal half, traced
+  // nominal half, no saturation phase.
   const double nominal_s =
       args.trace ? args.seconds / 2 : args.seconds * kNominalShare;
-  const double rung_s =
-      ladder ? args.seconds * (1 - kNominalShare) / cfg.ladder_qps.size() : 0;
+  const double saturation_s = args.seconds - nominal_s;
   const double total_s = kWarmupSeconds + args.seconds + 2;
   const size_t write_capacity =
       static_cast<size_t>(cfg.write_sessions_per_s * total_s) + 64;
@@ -772,6 +815,7 @@ int RunServe(const Args& args, bool ingest, Result* result) {
     std::fprintf(stderr, "set-up failed\n");
     return 1;
   }
+  PrintSetup(setup_s);
   std::printf("graph: %s\n", st->ds->graph.DebugString().c_str());
 
   ServeRunner runner(st.get(), cfg, args, ingest, cpus);
@@ -790,30 +834,12 @@ int RunServe(const Args& args, bool ingest, Result* result) {
   std::thread depth_sampler;
   Phase* nominal = nullptr;
   Phase* traced = nullptr;
-  std::vector<RungOutcome> rungs;
+  Phase* saturated = nullptr;
   std::printf("\nphases (latency from due time):\n");
   if (!args.trace) {
     nominal = runner.Run(cfg.nominal_qps, cfg.write_sessions_per_s,
                          nominal_s, false);
-    int failed_in_row = 0;
-    for (double qps : cfg.ladder_qps) {
-      Phase* ph = runner.Run(qps, cfg.write_sessions_per_s, rung_s, false);
-      RungOutcome r;
-      r.offered_qps = qps;
-      r.achieved_qps = static_cast<double>(ph->done_at_end) / ph->elapsed_s;
-      r.sent = ph->gen.sent[0];
-      r.failed = ph->failed;
-      r.p99_ms = Percentile(ph->on_time_ms, 99);
-      r.backlog_mid = ph->backlog_mid;
-      r.backlog_end = ph->backlog_end;
-      r.backlog_growing =
-          BacklogGrowing(r.backlog_mid, r.backlog_end, qps, rung_s / 2);
-      rungs.push_back(r);
-      PrintPhase("rung", *ph);
-      ph->Release();
-      failed_in_row = RungPasses(r, kP99LimitMs) ? 0 : failed_in_row + 1;
-      if (failed_in_row == kMaxFailedRungs) break;
-    }
+    saturated = runner.RunSaturated(cfg.write_sessions_per_s, saturation_s);
   } else {
     nominal = runner.Run(cfg.nominal_qps, cfg.write_sessions_per_s,
                          nominal_s, false);
@@ -842,6 +868,7 @@ int RunServe(const Args& args, bool ingest, Result* result) {
   // ---- Output checks (after the load). ----------------------------------
   PrintPhase("nominal", *nominal);
   if (traced != nullptr) PrintPhase("traced", *traced);
+  if (saturated != nullptr) PrintPhase("saturated", *saturated);
 
   int64_t attempted = 0, failed = 0;
   for (const auto& ph : runner.phases()) {
@@ -929,16 +956,16 @@ int RunServe(const Args& args, bool ingest, Result* result) {
   result->Check("no request or write failed", failed == 0);
 
   // ---- Metrics. ----------------------------------------------------------
-  const int best = SelectMaxRung(rungs, kP99LimitMs);
-  const double max_qps = best >= 0 ? rungs[best].achieved_qps : 0.0;
-  // The traced run has no ladder; its throughput is the read rate completed
-  // within the nominal phase.
+  // Reads completed per second at saturation (median over 1 s blocks, or
+  // the whole phase when it is shorter than a block). The traced run has no
+  // saturation phase; its throughput is the read rate completed within the
+  // nominal phase.
+  const Phase* rate_phase = saturated != nullptr ? saturated : nominal;
   const double throughput =
-      ladder ? max_qps
-             : static_cast<double>(nominal->done_at_end) / nominal->elapsed_s;
-  if (ladder) {
-    result->Check("some ladder rung passes", best >= 0);
-  }
+      saturated != nullptr && !saturated->block_qps.empty()
+          ? Median(saturated->block_qps)
+          : static_cast<double>(rate_phase->done_at_end) /
+                rate_phase->elapsed_s;
   const double recall = AnnRecall(*st);
   // Nominal-phase latency over the reads the generator sent on time.
   const double p50 = Percentile(nominal->on_time_ms, 50);
@@ -952,8 +979,9 @@ int RunServe(const Args& args, bool ingest, Result* result) {
                                     nominal->on_time_ms.size()),
                 "count");
   result->Named("serve.ann_recall", recall, "fraction");
-  result->Named(ladder ? "serve.max_qps" : "serve.completed_qps", throughput,
-                "req/s");
+  result->Named(saturated != nullptr ? "serve.saturation_qps"
+                                     : "serve.completed_qps",
+                throughput, "req/s");
   if (ingest) {
     result->Named("ingest.visible_p50_ms", Percentile(visible_ms, 50), "ms");
     result->Named("ingest.visible_p99_ms", Percentile(visible_ms, 99), "ms");
@@ -962,8 +990,7 @@ int RunServe(const Args& args, bool ingest, Result* result) {
   }
   result->E2e("setup_s", Median(setup_s), "s");
   result->E2e("peak_rss_mb", PeakRssMb(), "MiB");
-  result->E2e("p50_ms", p50, "ms");
-  result->E2e("p99_ms", p99, "ms");
+  result->E2e("latency_ms", p50, "ms");
   result->E2e("throughput_per_s", throughput, "1/s");
   result->E2e("quality", recall, "ratio");
 
@@ -1054,6 +1081,7 @@ int RunServe(const Args& args, bool ingest, Result* result) {
     result->Layer("setup.generate_s", st->generate_s, "s");
     result->Layer("setup.index_build_s", st->index_build_s, "s");
     result->Layer("setup.cache_warm_s", st->cache_warm_s, "s");
+    result->Layer("latency_p99_ms", p99, "ms");
     result->Layer("gen.lateness_us.p50", Percentile(late, 50), "us");
     result->Layer("gen.lateness_us.p99", Percentile(late, 99), "us");
     const double untraced_p50 = Percentile(nominal->lat_ms, 50);

@@ -54,9 +54,10 @@ zoomer::core::TrainOptions TrainOptionsFor(uint64_t seed) {
 }
 
 struct RepOutcome {
-  std::vector<double> mean_loss;   // per epoch
-  std::vector<double> epoch_s;     // wall time per epoch
-  std::vector<double> example_ms;  // forward + backward per example
+  std::vector<double> mean_loss;         // per epoch
+  std::vector<double> epoch_s;           // wall time per epoch
+  std::vector<double> epoch_example_ms;  // mean forward + backward per epoch
+  std::vector<double> example_ms;        // forward + backward per example
 };
 
 /// One epoch of ZoomerTrainer::RunEpoch's loop. With `spans`, records
@@ -69,7 +70,7 @@ void RunEpoch(const std::vector<zoomer::data::Example>& examples,
               SpanLog* spans, RepOutcome* out) {
   zoomer::obs::Histogram* roi_hist =
       RegistryWindow::Registry()->GetHistogram("sampler.batch_latency_us");
-  double loss_sum = 0.0;
+  double loss_sum = 0.0, example_sum_ms = 0.0;
   int64_t count = 0;
   int in_batch = 0;
   const int64_t t0 = NowNs();
@@ -89,6 +90,7 @@ void RunEpoch(const std::vector<zoomer::data::Example>& examples,
     scaled.Backward();
     const int64_t b1 = NowNs();
     out->example_ms.push_back(static_cast<double>(b1 - f0) / 1e6);
+    example_sum_ms += out->example_ms.back();
     if (spans != nullptr) {
       const int64_t roi_us = roi_hist->Snapshot().sum() - roi0;
       spans->Record(kSpanForward, count, f0, f1);
@@ -105,6 +107,8 @@ void RunEpoch(const std::vector<zoomer::data::Example>& examples,
   }
   if (in_batch > 0) optimizer->Step();
   out->epoch_s.push_back(static_cast<double>(NowNs() - t0) / 1e9);
+  out->epoch_example_ms.push_back(
+      count > 0 ? example_sum_ms / static_cast<double>(count) : 0.0);
   out->mean_loss.push_back(count > 0 ? loss_sum / static_cast<double>(count)
                                      : 0.0);
 }
@@ -165,6 +169,7 @@ int RunTrain(const Args& args, Result* result) {
     return std::make_unique<zoomer::data::RetrievalDataset>(
         zoomer::data::GenerateTaobaoDataset(HundredMillionScale(args.seed)));
   });
+  PrintSetup(setup_s);
   std::printf("graph: %s; %zu train / %zu test examples\n",
               ds->graph.DebugString().c_str(), ds->train.size(),
               ds->test.size());
@@ -217,10 +222,13 @@ int RunTrain(const Args& args, Result* result) {
     ref_loss.push_back(e.mean_loss);
   }
 
-  std::vector<double> rates, example_ms;
+  std::vector<double> rates, epoch_example_ms, example_ms;
   bool same_loss = true;
   for (const RepOutcome& r : reps) {
     for (double e : r.epoch_s) rates.push_back(kEpochExamples / e);
+    epoch_example_ms.insert(epoch_example_ms.end(),
+                            r.epoch_example_ms.begin(),
+                            r.epoch_example_ms.end());
     example_ms.insert(example_ms.end(), r.example_ms.begin(),
                       r.example_ms.end());
     same_loss = same_loss && r.mean_loss == reps[0].mean_loss;
@@ -255,8 +263,9 @@ int RunTrain(const Args& args, Result* result) {
   result->Named("train.heldout_loss_drop", loss_drop, "ratio");
   result->E2e("setup_s", Median(setup_s), "s");
   result->E2e("peak_rss_mb", PeakRssMb(), "MiB");
-  result->E2e("p50_ms", Percentile(example_ms, 50), "ms");
-  result->E2e("p99_ms", Percentile(example_ms, 99), "ms");
+  result->Named("train.example_p50_ms", Percentile(example_ms, 50), "ms");
+  result->Named("train.example_p99_ms", Percentile(example_ms, 99), "ms");
+  result->E2e("latency_ms", Median(epoch_example_ms), "ms");
   result->E2e("throughput_per_s", examples_per_s, "1/s");
   result->E2e("quality", likelihood, "ratio");
 
@@ -290,6 +299,7 @@ int RunTrain(const Args& args, Result* result) {
     result->Layer("tensor.backward_us.p99", Percentile(bwd, 99), "us");
     result->Layer("tensor.step_us.p50", Percentile(step, 50), "us");
     result->Layer("setup.generate_s", Median(setup_s), "s");
+    result->Layer("latency_p99_ms", Percentile(example_ms, 99), "ms");
     result->Layer("trace.overhead_frac",
                   untraced_rate / examples_per_s - 1.0, "ratio");
   }
