@@ -181,7 +181,7 @@ int Run(const BenchConfig& cfg) {
     });
 
     auto queries = QueriesWithEdges(ds.graph, 400);
-    auto run_phase = [&](int n, uint64_t seed, LatencyStats* lat,
+    auto run_phase = [&](int n, uint64_t seed, obs::Histogram* lat_us,
                          int64_t* errors) {
       Rng prng(seed);
       for (int i = 0; i < n; ++i) {
@@ -192,7 +192,7 @@ int Run(const BenchConfig& cfg) {
         WallTimer timer;
         auto resp = eng.Sample(req);
         if (resp.ok()) {
-          lat->Add(timer.ElapsedMillis());
+          lat_us->Record(static_cast<int64_t>(timer.ElapsedMicros()));
         } else {
           ++*errors;
         }
@@ -200,9 +200,9 @@ int Run(const BenchConfig& cfg) {
     };
     const int kPhaseRequests = cfg.smoke ? 400 : 4000;
 
-    LatencyStats healthy;
+    obs::Histogram healthy_us;
     int64_t healthy_errors = 0;
-    run_phase(kPhaseRequests, 101, &healthy, &healthy_errors);
+    run_phase(kPhaseRequests, 101, &healthy_us, &healthy_errors);
 
     // Kill shard0.r1 mid-ingest. requests_per_replica is replica-major
     // (index = shard * rf + r), so the dead replica is slot 1.
@@ -210,9 +210,9 @@ int Run(const BenchConfig& cfg) {
     eng.KillReplica(0, 1);
     const int64_t dead_requests_at_kill =
         eng.Stats().requests_per_replica[kDeadSlot];
-    LatencyStats degraded;
+    obs::Histogram degraded_us;
     int64_t degraded_errors = 0;
-    run_phase(kPhaseRequests, 202, &degraded, &degraded_errors);
+    run_phase(kPhaseRequests, 202, &degraded_us, &degraded_errors);
     auto stats = eng.Stats();
     const int64_t dead_routed =
         stats.requests_per_replica[kDeadSlot] - dead_requests_at_kill;
@@ -239,15 +239,20 @@ int Run(const BenchConfig& cfg) {
       if (lag > max_lag) max_lag = lag;
     }
 
+    const obs::HistogramSnapshot healthy = healthy_us.Snapshot();
+    const obs::HistogramSnapshot degraded = degraded_us.Snapshot();
+    auto ms = [](const obs::HistogramSnapshot& h, double p) {
+      return h.Percentile(p) / 1e3;
+    };
     std::printf("\n[replica groups] %d shards x %d replicas, live ingest, "
                 "kill shard0.r1 mid-stream (%d requests/phase)\n",
                 kShards, kRf, kPhaseRequests);
     std::printf("  %-28s p50 %7.3f ms  p99 %7.3f ms  errors %lld\n",
-                "healthy", healthy.Percentile(50), healthy.Percentile(99),
+                "healthy", ms(healthy, 50), ms(healthy, 99),
                 static_cast<long long>(healthy_errors));
     std::printf("  %-28s p50 %7.3f ms  p99 %7.3f ms  errors %lld  %s\n",
-                "degraded (1 replica dead)", degraded.Percentile(50),
-                degraded.Percentile(99),
+                "degraded (1 replica dead)", ms(degraded, 50),
+                ms(degraded, 99),
                 static_cast<long long>(degraded_errors),
                 degraded_errors == 0 ? "(0 errors OK)" : "(errors!)");
     std::printf("  requests routed to dead replica after detection: %lld%s\n",
@@ -265,10 +270,10 @@ int Run(const BenchConfig& cfg) {
                 static_cast<long long>(stats.killed_inflight_failures),
                 static_cast<long long>(stats.dead_replicas));
 
-    sink.Record("serving_healthy_p50_ms", healthy.Percentile(50));
-    sink.Record("serving_healthy_p99_ms", healthy.Percentile(99));
-    sink.Record("serving_degraded_p50_ms", degraded.Percentile(50));
-    sink.Record("serving_degraded_p99_ms", degraded.Percentile(99));
+    sink.Record("serving_healthy_p50_ms", ms(healthy, 50));
+    sink.Record("serving_healthy_p99_ms", ms(healthy, 99));
+    sink.Record("serving_degraded_p50_ms", ms(degraded, 50));
+    sink.Record("serving_degraded_p99_ms", ms(degraded, 99));
     sink.Record("serving_degraded_errors",
                 static_cast<double>(degraded_errors));
     sink.Record("dead_replica_requests_after_detection",

@@ -323,7 +323,7 @@ int Run(const BenchConfig& cfg) {
   vpipe.Start();
   cache.WarmAll(queries);
 
-  LatencyStats visibility;
+  obs::Histogram visibility_us;
   int timeouts = 0;
   const int kRounds = cfg.smoke ? 10 : 60;
   for (int r = 0; r < kRounds; ++r) {
@@ -349,18 +349,19 @@ int Run(const BenchConfig& cfg) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
     if (seen) {
-      visibility.Add(timer.ElapsedMillis());
+      visibility_us.Record(static_cast<int64_t>(timer.ElapsedMicros()));
     } else {
       ++timeouts;  // heavy query: weight 3 did not crack its top-30
     }
   }
+  const obs::HistogramSnapshot visibility = visibility_us.Snapshot();
   std::printf("\n[update visibility] offer -> cached@query: mean %.2f ms, "
-              "p50 %.2f ms, p99 %.2f ms (%zu/%d visible, %d top-k misses)\n",
-              visibility.Mean(), visibility.Percentile(50),
-              visibility.Percentile(99), visibility.count(), kRounds,
-              timeouts);
-  sink.Record("visibility_p50_ms", visibility.Percentile(50));
-  sink.Record("visibility_p99_ms", visibility.Percentile(99));
+              "p50 %.2f ms, p99 %.2f ms (%lld/%d visible, %d top-k misses)\n",
+              visibility.Mean() / 1e3, visibility.Percentile(50) / 1e3,
+              visibility.Percentile(99) / 1e3,
+              static_cast<long long>(visibility.count()), kRounds, timeouts);
+  sink.Record("visibility_p50_ms", visibility.Percentile(50) / 1e3);
+  sink.Record("visibility_p99_ms", visibility.Percentile(99) / 1e3);
   vpipe.Stop();
 
   // ---- 4. End-to-end OnlineServer freshness -------------------------------

@@ -1,13 +1,9 @@
-// Wall-clock timing and simple latency statistics used by benchmarks and the
-// serving simulation.
+// Wall-clock timing used by benchmarks and the serving simulation. Latency
+// distributions go through obs::Histogram.
 #ifndef ZOOMER_COMMON_TIMER_H_
 #define ZOOMER_COMMON_TIMER_H_
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdint>
-#include <vector>
 
 namespace zoomer {
 
@@ -28,87 +24,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates scalar samples (e.g., per-request latencies) and reports
-/// summary statistics including percentiles.
-///
-/// Single-thread contract: this is an offline/reporting accumulator — Add()
-/// and the query methods must not race. Hot multi-threaded paths use
-/// obs::Histogram (lock-free, no sort) instead; LatencyStats keeps exact
-/// percentiles for benches and tests that tally on one thread.
-///
-/// Percentile() sorts lazily and caches the sorted order, so repeated
-/// quantile queries (p50/p90/p99/...) between Adds sort once, not per call.
-class LatencyStats {
- public:
-  void Add(double v) {
-    samples_.push_back(v);
-    sorted_valid_ = false;
-  }
-
-  size_t count() const { return samples_.size(); }
-
-  double Mean() const {
-    if (samples_.empty()) return 0.0;
-    double s = 0.0;
-    for (double v : samples_) s += v;
-    return s / static_cast<double>(samples_.size());
-  }
-
-  double StdDev() const {
-    if (samples_.size() < 2) return 0.0;
-    double m = Mean();
-    double s = 0.0;
-    for (double v : samples_) s += (v - m) * (v - m);
-    return std::sqrt(s / static_cast<double>(samples_.size() - 1));
-  }
-
-  double Min() const {
-    return samples_.empty()
-               ? 0.0
-               : *std::min_element(samples_.begin(), samples_.end());
-  }
-
-  double Max() const {
-    return samples_.empty()
-               ? 0.0
-               : *std::max_element(samples_.begin(), samples_.end());
-  }
-
-  /// p in [0, 100]. Interpolated nearest-rank percentile; sorts at most
-  /// once per batch of Adds (cached until the next Add/Clear).
-  double Percentile(double p) const {
-    if (samples_.empty()) return 0.0;
-    EnsureSorted();
-    double rank = p / 100.0 * static_cast<double>(sorted_.size() - 1);
-    size_t lo = static_cast<size_t>(rank);
-    size_t hi = std::min(lo + 1, sorted_.size() - 1);
-    double frac = rank - static_cast<double>(lo);
-    return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-  }
-
-  void Clear() {
-    samples_.clear();
-    sorted_.clear();
-    sorted_valid_ = false;
-  }
-
-  const std::vector<double>& samples() const { return samples_; }
-
- private:
-  void EnsureSorted() const {
-    if (sorted_valid_) return;
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_valid_ = true;
-  }
-
-  std::vector<double> samples_;
-  // Lazily maintained sorted copy (single-thread contract makes the
-  // mutable cache safe).
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
 };
 
 }  // namespace zoomer

@@ -254,14 +254,6 @@ DistributedGraphEngine::~DistributedGraphEngine() {
   // after in-flight samples finish) before freeing the shard and dyn view.
 }
 
-void DistributedGraphEngine::AttachDynamicGraph(
-    const streaming::DynamicHeteroGraph* dynamic) {
-  ZCHECK(buses_.empty())
-      << "AttachDynamicGraph is the legacy shared-graph mode; the engine is "
-         "already in replica-group (ConnectUpdateFanout) mode";
-  for (auto& rep : replicas_) rep->shard->AttachDynamicGraph(dynamic);
-}
-
 void DistributedGraphEngine::ConnectUpdateFanout(
     streaming::GraphDeltaLog* log,
     const streaming::DynamicHeteroGraph* primary) {
@@ -294,7 +286,7 @@ void DistributedGraphEngine::RecordShardUpdate(int shard, int64_t num_events) {
 
 void DistributedGraphEngine::PublishDelta(int shard, uint64_t epoch,
                                           bool all_shards) {
-  if (buses_.empty()) return;  // fanout not connected (legacy mode)
+  if (buses_.empty()) return;  // before ConnectUpdateFanout
   auto notify = [this, epoch](int s) {
     ShardBus* bus = buses_[s].get();
     {

@@ -83,8 +83,8 @@ struct SampleRequest {
   /// Read-your-writes floor: route only to replicas whose apply watermark
   /// covers this epoch (0 = no constraint). Stamp it with the delta-log
   /// epoch of the session's own last write (the ingest pipeline's update
-  /// listener reports it). In legacy shared-graph mode every replica reads
-  /// the primary view, so the floor is trivially met.
+  /// listener reports it). Before ConnectUpdateFanout every replica serves
+  /// the static graph, so the floor is trivially met.
   uint64_t min_epoch = 0;
 };
 
@@ -98,7 +98,7 @@ struct ReplicaStatus {
   int shard = 0;
   int replica = 0;  // index within the shard's group
   bool alive = true;
-  /// Epochs applied through (replica-group mode; 0 in legacy mode).
+  /// Epochs applied through (0 before ConnectUpdateFanout).
   uint64_t watermark = 0;
   int64_t requests = 0;
 };
@@ -113,7 +113,7 @@ struct EngineStats {
   /// Per-replica health and apply progress (shard-major order).
   std::vector<ReplicaStatus> replicas;
   int64_t dead_replicas = 0;
-  /// Primary graph's watermark (replica-group mode; 0 in legacy mode).
+  /// Primary graph's watermark (0 before ConnectUpdateFanout).
   uint64_t primary_watermark = 0;
   /// Requests served off the primary because no alive replica met the
   /// freshness floor within the bounded wait.
@@ -209,17 +209,12 @@ class DistributedGraphEngine {
   EngineStats Stats() const;
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
 
-  /// Legacy shared-graph mode: routes streaming reads of every replica
-  /// through one shared dynamic view (no per-replica apply lag — see
-  /// ConnectUpdateFanout for the replica-group mode that supersedes this).
-  void AttachDynamicGraph(const streaming::DynamicHeteroGraph* dynamic);
-
   /// Replica-group mode: gives every replica its own DynamicHeteroGraph
   /// over the engine's base graph plus an apply thread consuming `log`
   /// through a registered per-replica cursor, bounded by `primary`'s
   /// watermark (the ingest pipeline's graph). Call once, before ingest
   /// starts and before sampling traffic; `log` and `primary` must outlive
-  /// this engine. Mutually exclusive with AttachDynamicGraph.
+  /// this engine.
   void ConnectUpdateFanout(streaming::GraphDeltaLog* log,
                            const streaming::DynamicHeteroGraph* primary);
 
@@ -268,7 +263,7 @@ class DistributedGraphEngine {
     std::atomic<int64_t> requests{0};
     std::atomic<int64_t> inflight{0};
     std::atomic<bool> alive{true};
-    // Replica-group (fanout) state; unset in legacy shared-graph mode.
+    // Replica-group (fanout) state; unset before ConnectUpdateFanout.
     std::unique_ptr<streaming::DynamicHeteroGraph> dyn;
     std::thread applier;                 // joined by the engine dtor
     std::atomic<uint64_t> watermark{0};  // epochs applied through

@@ -283,10 +283,9 @@ LoadResult RunLoad(OnlineServer* server,
   ZCHECK(!request_pool.empty());
   LoadResult result;
   result.offered_qps = qps;
-  // Hot path: one lock-free histogram record per response, replacing the
-  // former mutex-guarded LatencyStats::Add (which also re-sorted per
-  // percentile query). Recorded in nanoseconds so sub-microsecond handlers
-  // still resolve; bucket-midpoint percentiles are within ~3.1%.
+  // Hot path: one lock-free histogram record per response (no lock, no
+  // sort per percentile query). Recorded in nanoseconds so sub-microsecond
+  // handlers still resolve; bucket-midpoint percentiles are within ~3.1%.
   obs::Histogram latency_ns;
   std::atomic<int64_t> total{0};
 

@@ -289,16 +289,6 @@ Status DynamicHeteroGraph::GrowAllocationLocked(int64_t new_end,
   return Status::OK();
 }
 
-NodeId DynamicHeteroGraph::AllocateNodeIds(int count, uint64_t epoch) {
-  ZCHECK_GT(count, 0);
-  ZCHECK_GT(epoch, 0u) << "node ids are born at a log epoch";
-  std::lock_guard<std::mutex> lock(alloc_mu_);
-  const int64_t start = overlay_allocated_.load(std::memory_order_relaxed);
-  Status st = GrowAllocationLocked(start + count, epoch);
-  ZCHECK(st.ok()) << st.ToString();
-  return overlay_origin_ + start;
-}
-
 StatusOr<NodeId> DynamicHeteroGraph::AllocateNodeIds(
     const std::vector<NodeEvent>& nodes, uint64_t epoch) {
   if (nodes.empty()) {
@@ -603,9 +593,10 @@ Status DynamicHeteroGraph::ApplyBatch(const DeltaBatch& batch) {
     if (nv.id < overlay_origin_) continue;  // replayed mint already folded
     OverlayNodeRecord& rec = overlay_record(nv.id);
     if (rec.applied.load(std::memory_order_acquire)) continue;  // replay
-    // Per-type accounting: a typed allocation already counted its claim;
-    // the legacy untyped path counts here, at apply. A (misused) claim
-    // mismatch moves the count rather than double-counting.
+    // Per-type accounting: AllocateNodeIds already counted its claim; an
+    // id RegisterNodeEvents grew without one (replica and direct-apply
+    // batches) counts here, at apply. A (misused) claim mismatch moves the
+    // count rather than double-counting.
     if (!rec.type_claimed) {
       overlay_type_counts_[static_cast<int>(nv.type)].fetch_add(
           1, std::memory_order_acq_rel);
@@ -1011,211 +1002,132 @@ void DynamicHeteroGraph::Snapshot::NeighborsOfType(
       [&](size_t j, float w) { (*weights)[j] += w; });
 }
 
-NodeId DynamicHeteroGraph::Snapshot::SampleOverlayLocked(NodeId node,
-                                                         const NodeOverlay& ov,
-                                                         size_t prefix,
-                                                         Rng* rng) const {
-  const SegmentedCsr& base = *base_;
-  // Overlay-born nodes beyond base coverage have no base block; their
-  // base_total_weight is 0 so the weighted coin below never lands on the
-  // base side either.
-  const int64_t base_degree = InBase(node) ? base.degree(node) : 0;
-  if (!decay_active_) {
-    const double delta_w = ov.weight_prefix[prefix - 1];
-    const double base_w = ov.base_total_weight;
-    const double total = base_w + delta_w;
-    if (total <= 0.0) {
-      // Degenerate all-zero weights: uniform over base + delta positions,
-      // matching AliasTable's degenerate behaviour.
-      const uint64_t n = static_cast<uint64_t>(base_degree) + prefix;
-      if (n == 0) return -1;
-      const uint64_t idx = rng->Uniform(n);
-      if (idx < static_cast<uint64_t>(base_degree)) {
-        return base.neighbor_ids(node)[idx];
-      }
-      return ov.entries[idx - base_degree].e.neighbor;
-    }
-    // Two-level alias-resampling: base-vs-delta coin by weight mass, then an
-    // O(1) alias draw in the base or an inverse-CDF draw in the delta prefix.
-    const double r = rng->UniformDouble() * total;
-    if (r < base_w) return base.SampleNeighbor(node, rng);
-    const double target = r - base_w;
-    auto pos = std::upper_bound(ov.weight_prefix.begin(),
-                                ov.weight_prefix.begin() + prefix, target);
-    if (pos == ov.weight_prefix.begin() + prefix) --pos;  // fp guard
-    return ov.entries[pos - ov.weight_prefix.begin()].e.neighbor;
-  }
-  // Windowed sampling: the raw prefix sums do not reflect TTL exclusion or
-  // decayed mass, so resolve the live entries on the fly (two passes, no
-  // allocation). Hot nodes dodge this cost through the overlay cache.
-  double delta_w = 0.0;
-  int64_t alive = 0;
-  ForEachVisibleDelta(ov.entries.data(), prefix,
-                      [&](const DeltaEntry&, float w) {
-                        delta_w += w;
-                        ++alive;
-                      });
-  if (alive == 0) {
-    return base_degree > 0 ? base.SampleNeighbor(node, rng) : -1;
-  }
-  const double base_w = ov.base_total_weight;
-  const double total = base_w + delta_w;
-  if (total <= 0.0) {
-    const uint64_t n = static_cast<uint64_t>(base_degree) +
-                       static_cast<uint64_t>(alive);
-    const uint64_t idx = rng->Uniform(n);
-    if (idx < static_cast<uint64_t>(base_degree)) {
-      return base.neighbor_ids(node)[idx];
-    }
-    int64_t skip = static_cast<int64_t>(idx) - base_degree;
-    NodeId picked = -1;
-    ForEachVisibleDelta(ov.entries.data(), prefix,
-                        [&](const DeltaEntry& d, float) {
-                          if (skip-- == 0) picked = d.e.neighbor;
-                        });
-    return picked;
-  }
-  const double r = rng->UniformDouble() * total;
-  if (r < base_w) return base.SampleNeighbor(node, rng);
-  const double target = r - base_w;
-  double cum = 0.0;
-  NodeId picked = -1;
-  for (size_t i = 0; i < prefix && picked < 0; ++i) {
-    const float w = EntryWeight(ov.entries[i]);
-    if (w < 0.0f) continue;
-    cum += w;
-    if (cum > target) picked = ov.entries[i].e.neighbor;
-  }
-  if (picked >= 0) return picked;
-  // fp guard: land on the last live entry.
-  for (size_t i = prefix; i-- > 0;) {
-    if (EntryWeight(ov.entries[i]) >= 0.0f) return ov.entries[i].e.neighbor;
-  }
-  return -1;
-}
+/// A node resolved for drawing: its weighted row (the pinned base CSR row,
+/// or a hot-cache entry's materialized merge) plus, when it carries visible
+/// deltas, the live delta entries with their cumulative weights. Holds the
+/// node's lock shard when Resolve() took it, so the overlay it points into
+/// stays put for every draw.
+struct DynamicHeteroGraph::Snapshot::NodeDraw {
+  std::shared_lock<std::shared_mutex> lock;
+  std::span<const NodeId> row_ids;  // empty: no row to draw from
+  const graph::AliasTable* row_alias = nullptr;
+  const DeltaEntry* deltas = nullptr;
+  std::span<const double> delta_cum;  // empty: the row is all there is
+  double row_w = 0.0;                 // row side of the base-vs-delta coin
+  double total = 0.0;
+  // Windowed reads only: TTL exclusion and decay change the live entries
+  // and their mass, so they are resolved once into these (the one heap
+  // allocation on the draw path; hot nodes dodge it through the cache).
+  // `deltas` / `delta_cum` then point into them; a move (Resolve returns
+  // by value) hands the buffers over, so the views stay valid.
+  std::vector<DeltaEntry> live;
+  std::vector<double> live_cum;
 
-void DynamicHeteroGraph::Snapshot::SampleOverlayBatchLocked(
-    NodeId node, const NodeOverlay& ov, size_t prefix, size_t kk, Rng* rng,
-    NodeId* dst) const {
-  const graph::SegmentedCsr& base = *base_;
-  const int64_t base_degree = InBase(node) ? base.degree(node) : 0;
-  // Resolve the base row once: segment locate, alias table, id span. Every
-  // draw below consumes the Rng exactly like one SampleOverlayLocked call,
-  // so batched and single draws stay bit-identical under a fixed seed.
-  const graph::AliasTable* base_alias = nullptr;
-  std::span<const NodeId> base_ids;
-  if (base_degree > 0) {
-    const auto& seg = base.segment(base.segment_of(node));
-    const int64_t r = node - seg.first_node();
-    base_alias = &seg.row_alias(r);
-    base_ids = seg.row_neighbor_ids(r);
+  NodeId RowDraw(Rng* rng) const {
+    return row_ids.empty() ? -1 : row_ids[row_alias->SampleUnchecked(rng)];
   }
-  if (!decay_active_) {
-    const double delta_w = ov.weight_prefix[prefix - 1];
-    const double base_w = ov.base_total_weight;
-    const double total = base_w + delta_w;
+
+  /// One weighted draw; -1 only when nothing is drawable (without
+  /// consuming the Rng).
+  NodeId Next(Rng* rng) const {
+    if (delta_cum.empty()) return RowDraw(rng);
     if (total <= 0.0) {
-      // Degenerate all-zero weights: uniform over base + delta positions.
-      const uint64_t n = static_cast<uint64_t>(base_degree) + prefix;
-      if (n == 0) return;  // rows stay -1
-      for (size_t j = 0; j < kk; ++j) {
-        const uint64_t idx = rng->Uniform(n);
-        dst[j] = idx < static_cast<uint64_t>(base_degree)
-                     ? base_ids[idx]
-                     : ov.entries[idx - base_degree].e.neighbor;
-      }
+      // Degenerate all-zero weights: uniform over row + delta positions,
+      // matching AliasTable's degenerate behaviour.
+      const uint64_t idx = rng->Uniform(row_ids.size() + delta_cum.size());
+      return idx < row_ids.size() ? row_ids[idx]
+                                  : deltas[idx - row_ids.size()].e.neighbor;
+    }
+    // Two-level alias-resampling: row-vs-delta coin by weight mass, then an
+    // O(1) alias draw in the row or an inverse-CDF draw in the deltas.
+    const double r = rng->UniformDouble() * total;
+    if (r < row_w) return RowDraw(rng);
+    auto pos = std::upper_bound(delta_cum.begin(), delta_cum.end(), r - row_w);
+    if (pos == delta_cum.end()) --pos;  // fp guard: last live entry
+    return deltas[pos - delta_cum.begin()].e.neighbor;
+  }
+
+  /// dst.size() draws, bit-identical to as many Next() calls: a plain row
+  /// goes through AliasTable::SampleBatch, which consumes the Rng exactly
+  /// like repeated single draws.
+  void Fill(Rng* rng, std::span<NodeId> dst) const {
+    if (!delta_cum.empty() || row_ids.empty()) {
+      for (NodeId& out : dst) out = Next(rng);
       return;
     }
-    const auto pb = ov.weight_prefix.begin();
-    for (size_t j = 0; j < kk; ++j) {
-      const double r = rng->UniformDouble() * total;
-      if (r < base_w) {
-        dst[j] = base_ids[base_alias->SampleUnchecked(rng)];
-        continue;
-      }
-      const double target = r - base_w;
-      auto pos = std::upper_bound(pb, pb + prefix, target);
-      if (pos == pb + prefix) --pos;  // fp guard
-      dst[j] = ov.entries[pos - pb].e.neighbor;
+    constexpr size_t kChunk = 64;
+    uint32_t pos[kChunk];
+    for (size_t done = 0; done < dst.size(); done += kChunk) {
+      const size_t m = std::min(kChunk, dst.size() - done);
+      row_alias->SampleBatch(rng, {pos, m});
+      for (size_t j = 0; j < m; ++j) dst[done + j] = row_ids[pos[j]];
     }
-    return;
   }
-  // Windowed path: resolve the live entries once into a cumulative-weight
-  // list; each draw then binary-searches where the single draw re-scans.
-  // Outcomes match the scan exactly: first live entry whose cumulative
-  // weight exceeds the target, last live entry as the fp guard.
-  std::vector<std::pair<double, NodeId>> live;  // (cumulative weight, nbr)
-  double delta_w = 0.0;
-  ForEachVisibleDelta(ov.entries.data(), prefix,
-                      [&](const DeltaEntry& d, float w) {
-                        delta_w += w;
-                        live.emplace_back(delta_w, d.e.neighbor);
-                      });
-  if (live.empty()) {
-    if (base_degree == 0) return;  // nothing drawable: rows stay -1
-    for (size_t j = 0; j < kk; ++j) {
-      dst[j] = base_ids[base_alias->SampleUnchecked(rng)];
-    }
-    return;
-  }
-  const double base_w = ov.base_total_weight;
-  const double total = base_w + delta_w;
-  if (total <= 0.0) {
-    const uint64_t n = static_cast<uint64_t>(base_degree) + live.size();
-    for (size_t j = 0; j < kk; ++j) {
-      const uint64_t idx = rng->Uniform(n);
-      dst[j] = idx < static_cast<uint64_t>(base_degree)
-                   ? base_ids[idx]
-                   : live[idx - base_degree].second;
-    }
-    return;
-  }
-  for (size_t j = 0; j < kk; ++j) {
-    const double r = rng->UniformDouble() * total;
-    if (r < base_w) {
-      dst[j] = base_ids[base_alias->SampleUnchecked(rng)];
-      continue;
-    }
-    const double target = r - base_w;
-    auto pos = std::upper_bound(
-        live.begin(), live.end(), target,
-        [](double t, const std::pair<double, NodeId>& p) {
-          return t < p.first;
-        });
-    dst[j] = pos == live.end() ? live.back().second : pos->second;
-  }
-}
+};
 
-NodeId DynamicHeteroGraph::Snapshot::SampleNeighbor(NodeId node,
-                                                    Rng* rng) const {
-  ZCHECK(node >= 0 && node < num_nodes_);
-  // Lock-free fast path: untouched nodes sample straight off the base CSR
+DynamicHeteroGraph::Snapshot::NodeDraw DynamicHeteroGraph::Snapshot::Resolve(
+    NodeId node, uint64_t node_epoch, bool shard_locked) const {
+  NodeDraw d;
+  auto use_base_row = [&] {
+    // Overlay-born nodes beyond base coverage have no base row; their
+    // base_total_weight is 0, so the coin never lands on the row side.
+    if (!InBase(node)) return;
+    const auto& seg = base_->segment(base_->segment_of(node));
+    const int64_t r = node - seg.first_node();
+    d.row_ids = seg.row_neighbor_ids(r);
+    d.row_alias = &seg.row_alias(r);
+  };
+  // Lock-free fast path: untouched nodes draw straight off the base CSR
   // (overlay-born nodes without deltas are isolated at this epoch).
-  const uint64_t node_epoch =
-      owner_->node_epoch_slot(node).load(std::memory_order_acquire);
   if (node_epoch == 0) {
-    return InBase(node) ? base_->SampleNeighbor(node, rng) : -1;
+    use_base_row();
+    return d;
   }
   if (const auto* entry = HotEntry(node, node_epoch)) {
-    if (entry->ids.empty()) return -1;
-    return entry->ids[entry->alias.Sample(rng)];
+    d.row_ids = entry->ids;
+    d.row_alias = &entry->alias;
+    return d;
   }
   // Locked overlay read: feed the adaptive hotness signal (one relaxed add
   // on the already-slow merge path — hot-cache hits above run at ~static
   // cost and are deliberately not counted as fold pressure).
   owner_->NoteSegmentRead(node);
   const LockShard& sh = owner_->lock_shards_[ShardFor(node)];
-  std::shared_lock<std::shared_mutex> lock(sh.mu);
+  if (!shard_locked) d.lock = std::shared_lock<std::shared_mutex>(sh.mu);
+  use_base_row();
   auto it = sh.overlays.find(node);
-  if (it == sh.overlays.end()) {
-    return InBase(node) ? base_->SampleNeighbor(node, rng) : -1;
-  }
+  const size_t prefix =
+      it == sh.overlays.end() ? 0 : VisiblePrefix(it->second, epoch_);
+  if (prefix == 0) return d;
   const NodeOverlay& ov = it->second;
-  const size_t prefix = VisiblePrefix(ov, epoch_);
-  if (prefix == 0) {
-    return InBase(node) ? base_->SampleNeighbor(node, rng) : -1;
+  if (!decay_active_) {
+    d.deltas = ov.entries.data();
+    d.delta_cum = {ov.weight_prefix.data(), prefix};
+  } else {
+    d.live.reserve(prefix);
+    d.live_cum.reserve(prefix);
+    double cum = 0.0;
+    ForEachVisibleDelta(ov.entries.data(), prefix,
+                        [&](const DeltaEntry& e, float w) {
+                          cum += w;
+                          d.live.push_back(e);
+                          d.live_cum.push_back(cum);
+                        });
+    d.deltas = d.live.data();
+    d.delta_cum = d.live_cum;
   }
-  return SampleOverlayLocked(node, ov, prefix, rng);
+  d.row_w = ov.base_total_weight;
+  d.total = d.row_w + (d.delta_cum.empty() ? 0.0 : d.delta_cum.back());
+  return d;
+}
+
+NodeId DynamicHeteroGraph::Snapshot::SampleNeighbor(NodeId node,
+                                                    Rng* rng) const {
+  ZCHECK(node >= 0 && node < num_nodes_);
+  return Resolve(node,
+                 owner_->node_epoch_slot(node).load(std::memory_order_acquire),
+                 /*shard_locked=*/false)
+      .Next(rng);
 }
 
 void DynamicHeteroGraph::Snapshot::SampleManyNeighbors(
@@ -1254,40 +1166,10 @@ void DynamicHeteroGraph::Snapshot::SampleManyNeighbors(
     }
   }
   // Pass 2: draw in node order (the Rng consumption order the single-draw
-  // path defines).
-  std::vector<NodeId> row;      // scratch for base-row batched draws
-  std::vector<uint32_t> pos(kk);
+  // path defines), resolving each node once for all its k draws.
   for (size_t r = 0; r < nodes.size(); ++r) {
-    const NodeId node = nodes[r];
-    NodeId* dst = out->data() + r * kk;
-    auto draw_from_base = [&] {
-      if (!InBase(node)) return;
-      base_->SampleManyNeighbors({&node, 1}, k, rng, &row);
-      std::copy(row.begin(), row.end(), dst);
-    };
-    const uint64_t node_epoch = node_epochs[r];
-    if (node_epoch == 0) {
-      draw_from_base();
-      continue;
-    }
-    if (const auto* entry = HotEntry(node, node_epoch)) {
-      if (entry->ids.empty()) continue;
-      entry->alias.SampleBatch(rng, {pos.data(), kk});
-      for (size_t j = 0; j < kk; ++j) dst[j] = entry->ids[pos[j]];
-      continue;
-    }
-    owner_->NoteSegmentRead(node);
-    const LockShard& sh = owner_->lock_shards_[ShardFor(node)];
-    auto it = sh.overlays.find(node);
-    const size_t prefix =
-        it == sh.overlays.end() ? 0 : VisiblePrefix(it->second, epoch_);
-    if (prefix == 0) {
-      draw_from_base();
-      continue;
-    }
-    // One visible-prefix resolution and one base-row locate for all k draws
-    // of this node.
-    SampleOverlayBatchLocked(node, it->second, prefix, kk, rng, dst);
+    Resolve(nodes[r], node_epochs[r], /*shard_locked=*/true)
+        .Fill(rng, {out->data() + r * kk, kk});
   }
 }
 
@@ -1296,48 +1178,16 @@ std::vector<NodeId> DynamicHeteroGraph::Snapshot::SampleDistinctNeighbors(
   ZCHECK(node >= 0 && node < num_nodes_);
   std::vector<NodeId> seen;
   if (k <= 0) return seen;
+  seen.reserve(static_cast<size_t>(k));  // the result is the only allocation
+  // One resolution (and at most one lock acquisition) for the whole bounded
+  // retry loop.
+  const NodeDraw d = Resolve(
+      node, owner_->node_epoch_slot(node).load(std::memory_order_acquire),
+      /*shard_locked=*/false);
   const int max_attempts = k * 4;
-  auto draw_from_base = [&] {
-    // Shared bounded-retry dedup draw over the base alias tables; nothing
-    // to draw for an overlay-born node with no visible deltas.
-    if (!InBase(node)) return;
-    seen = graph::SegmentedCsrView(*base_).SampleDistinctNeighbors(node, k,
-                                                                   rng);
-  };
-  const uint64_t node_epoch =
-      owner_->node_epoch_slot(node).load(std::memory_order_acquire);
-  if (node_epoch == 0) {
-    draw_from_base();
-    return seen;
-  }
-  if (const auto* entry = HotEntry(node, node_epoch)) {
-    // Batched O(1) alias draws over the materialized merge.
-    if (entry->ids.empty()) return seen;
-    for (int a = 0; a < max_attempts && static_cast<int>(seen.size()) < k;
-         ++a) {
-      const NodeId nb = entry->ids[entry->alias.Sample(rng)];
-      if (std::find(seen.begin(), seen.end(), nb) == seen.end()) {
-        seen.push_back(nb);
-      }
-    }
-    return seen;
-  }
-  owner_->NoteSegmentRead(node);
-  const LockShard& sh = owner_->lock_shards_[ShardFor(node)];
-  std::shared_lock<std::shared_mutex> lock(sh.mu);
-  auto it = sh.overlays.find(node);
-  const size_t prefix =
-      it == sh.overlays.end() ? 0 : VisiblePrefix(it->second, epoch_);
-  if (prefix == 0) {
-    lock.unlock();
-    draw_from_base();
-    return seen;
-  }
-  // One lock acquisition and one visible-prefix resolution for the whole
-  // batch of draws.
   for (int a = 0; a < max_attempts && static_cast<int>(seen.size()) < k;
        ++a) {
-    const NodeId nb = SampleOverlayLocked(node, it->second, prefix, rng);
+    const NodeId nb = d.Next(rng);
     if (nb < 0) break;
     if (std::find(seen.begin(), seen.end(), nb) == seen.end()) {
       seen.push_back(nb);

@@ -133,7 +133,7 @@ struct DynamicHeteroGraphOptions {
   /// auto: the base partitions into ~16 segments, clamped to >= 64 rows.
   int64_t segment_span = 0;
   /// Per-type cap on the total id-space (base + overlay), enforced by the
-  /// typed AllocateNodeIds overload the ingest pipeline routes through.
+  /// AllocateNodeIds, which the ingest pipeline routes through.
   /// 0 = unbounded.
   std::array<int64_t, graph::kNumNodeTypes> max_nodes_per_type = {0, 0, 0};
   /// Node-TTL groundwork: an overlay-born node older than this (against the
@@ -285,22 +285,16 @@ class DynamicHeteroGraph {
   /// the pending mark.
   void NoteEpochIssued(uint64_t epoch);
 
-  /// Allocates `count` contiguous node ids born at `epoch`, growing the
-  /// id-space past the base CSR; returns the first id. Birth epochs must be
-  /// non-decreasing across calls. This legacy overload carries no type
-  /// information, so per-type capacity limits cannot be enforced here (the
-  /// types are counted when the records apply); production traffic goes
-  /// through the typed overload below. The ids become visible to snapshots
-  /// only once their NodeEvents apply.
-  graph::NodeId AllocateNodeIds(int count, uint64_t epoch);
-
-  /// Typed allocation: one id per event, enforcing
+  /// Allocates one contiguous node id per event, born at `epoch`, growing
+  /// the id-space past the base CSR; returns the first id. Birth epochs
+  /// must be non-decreasing across calls. Enforces
   /// options().max_nodes_per_type before any id is burned (OutOfRange on
   /// exhaustion — the clean rejection point, since a rejected *apply* after
   /// allocation would strand an unapplied record and freeze node visibility
   /// behind it). Pass this as GraphDeltaLog::AppendWithNodes's allocator
   /// (which invokes it under the epoch-issuance lock) rather than calling
-  /// it directly, unless single-threaded (tests).
+  /// it directly, unless single-threaded (tests). The ids become visible
+  /// to snapshots only once their NodeEvents apply.
   StatusOr<graph::NodeId> AllocateNodeIds(const std::vector<NodeEvent>& nodes,
                                           uint64_t epoch);
 
@@ -313,8 +307,9 @@ class DynamicHeteroGraph {
   }
 
   /// Nodes of type `t` in the id-space: base rows plus overlay allocations
-  /// (typed allocations count immediately, untyped ones once applied).
-  /// The quantity max_nodes_per_type caps.
+  /// (AllocateNodeIds counts immediately; ids that RegisterNodeEvents grows
+  /// without a type claim, on replica and direct-apply batches, count once
+  /// applied). The quantity max_nodes_per_type caps.
   int64_t num_nodes_of_type(graph::NodeType t) const {
     return base_type_counts_[static_cast<int>(t)] +
            overlay_type_counts_[static_cast<int>(t)].load(
@@ -509,11 +504,12 @@ class DynamicHeteroGraph {
 
     /// Batched weighted draws: k draws per node, row-major into `out` (-1
     /// rows for isolated nodes). Bit-identical to k SampleNeighbor calls
-    /// per node in order, but the snapshot stays pinned for the whole
-    /// batch, each node costs one epoch-slot load + at most one lock-shard
-    /// acquisition + one visible-prefix resolution for all its k draws,
-    /// the next node's epoch slot is prefetched one node ahead, and hot /
-    /// base rows draw through AliasTable::SampleBatch.
+    /// per node in order — both resolve the node through the same routine
+    /// and draw with the same kernel — but the snapshot stays pinned for
+    /// the whole batch, each touched lock shard is taken once, each node
+    /// costs one epoch-slot load + one resolution for all its k draws, the
+    /// next node's epoch slot is prefetched one node ahead, and hot / base
+    /// rows draw through AliasTable::SampleBatch.
     void SampleManyNeighbors(std::span<const graph::NodeId> nodes, int k,
                              Rng* rng, std::vector<graph::NodeId>* out) const;
 
@@ -558,21 +554,17 @@ class DynamicHeteroGraph {
                                Keep keep, KeyAt key_at, Append append,
                                AddWeight add_weight) const;
 
-    /// Two-level base+delta draw over a resolved overlay whose visible
-    /// prefix is non-empty. Caller must hold the node's lock shard
-    /// (shared). Returns -1 only when nothing is drawable.
-    graph::NodeId SampleOverlayLocked(graph::NodeId node,
-                                      const NodeOverlay& ov, size_t prefix,
-                                      Rng* rng) const;
+    /// A node resolved once for any number of draws (defined in the .cc).
+    struct NodeDraw;
 
-    /// kk overlay draws into dst, bit-identical to kk SampleOverlayLocked
-    /// calls in order, with the per-draw invariants hoisted: one segment
-    /// locate + alias-row resolution, one weight-mass computation, and (on
-    /// the windowed path) one visible-prefix scan serve every draw of the
-    /// node. Same locking contract as SampleOverlayLocked.
-    void SampleOverlayBatchLocked(graph::NodeId node, const NodeOverlay& ov,
-                                  size_t prefix, size_t kk, Rng* rng,
-                                  graph::NodeId* dst) const;
+    /// The one per-node draw routine behind SampleNeighbor (one draw),
+    /// SampleManyNeighbors (k draws) and SampleDistinctNeighbors (until k
+    /// distinct or 4k attempts): resolves the epoch slot value
+    /// `node_epoch`, the hot-cache entry, the visible delta prefix and the
+    /// decay window once. Takes the node's lock shard unless the caller
+    /// already holds it (`shard_locked`).
+    NodeDraw Resolve(graph::NodeId node, uint64_t node_epoch,
+                     bool shard_locked) const;
 
     const DynamicHeteroGraph* owner_;
     std::shared_ptr<const graph::SegmentedCsr> base_;
@@ -798,10 +790,10 @@ class DynamicHeteroGraph {
   /// a batch's node events; called from ApplyBatch's validation pass.
   Status RegisterNodeEvents(const DeltaBatch& batch);
 
-  /// Shared allocation tail of the AllocateNodeIds overloads and
-  /// RegisterNodeEvents: grows the record/epoch-slot chunks to cover
-  /// `new_end` overlay records, all born at `epoch`, and publishes the new
-  /// bound. Caller holds alloc_mu_.
+  /// Shared allocation tail of AllocateNodeIds and RegisterNodeEvents:
+  /// grows the record/epoch-slot chunks to cover `new_end` overlay records,
+  /// all born at `epoch`, and publishes the new bound. Caller holds
+  /// alloc_mu_.
   Status GrowAllocationLocked(int64_t new_end, uint64_t epoch);
 
   /// Advances the contiguous applied-record prefix. Takes alloc_mu_.
@@ -832,8 +824,9 @@ class DynamicHeteroGraph {
   /// Base-CSR node counts per type at construction (immutable; overlay
   /// growth is tracked separately so capacity checks are O(1)).
   std::array<int64_t, graph::kNumNodeTypes> base_type_counts_ = {0, 0, 0};
-  /// Overlay allocations per type (typed path counts at allocation under
-  /// alloc_mu_; the legacy untyped path counts at apply).
+  /// Overlay allocations per type (AllocateNodeIds counts at allocation
+  /// under alloc_mu_; ids RegisterNodeEvents grows on replica and
+  /// direct-apply batches count at apply).
   mutable std::array<std::atomic<int64_t>, graph::kNumNodeTypes>
       overlay_type_counts_ = {};
   /// All-zero content row (content_dim floats): the payload of cold-node

@@ -94,9 +94,9 @@ class GraphDeltaLog {
 
   /// Assigns one fresh node id per event, all born at `epoch`, and returns
   /// the first id of the contiguous range — or an error (per-type capacity
-  /// exhausted) in which case nothing was allocated. Pass the typed
-  /// DynamicHeteroGraph::AllocateNodeIds overload (the ingest pipeline
-  /// wires this): the log invokes it inside the same critical section that
+  /// exhausted) in which case nothing was allocated. Pass
+  /// DynamicHeteroGraph::AllocateNodeIds (the ingest pipeline wires
+  /// this): the log invokes it inside the same critical section that
   /// orders epoch issuance, so overlay ids are monotone in birth epoch
   /// across shards and threads, and capacity rejection happens before any
   /// id is burned.

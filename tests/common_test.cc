@@ -285,46 +285,6 @@ TEST(TimerTest, MeasuresElapsedTime) {
   EXPECT_LT(t.ElapsedMillis(), 2000.0);
 }
 
-TEST(LatencyStatsTest, SummaryStatistics) {
-  LatencyStats s;
-  for (int i = 1; i <= 100; ++i) s.Add(i);
-  EXPECT_EQ(s.count(), 100u);
-  EXPECT_DOUBLE_EQ(s.Mean(), 50.5);
-  EXPECT_DOUBLE_EQ(s.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.Max(), 100.0);
-  EXPECT_NEAR(s.Percentile(50), 50.5, 0.5);
-  EXPECT_NEAR(s.Percentile(99), 99.0, 1.1);
-}
-
-TEST(LatencyStatsTest, EmptyIsZero) {
-  LatencyStats s;
-  EXPECT_EQ(s.Mean(), 0.0);
-  EXPECT_EQ(s.Percentile(50), 0.0);
-  EXPECT_EQ(s.StdDev(), 0.0);
-}
-
-TEST(LatencyStatsTest, StdDevOfConstantIsZero) {
-  LatencyStats s;
-  for (int i = 0; i < 10; ++i) s.Add(3.0);
-  EXPECT_NEAR(s.StdDev(), 0.0, 1e-12);
-}
-
-TEST(LatencyStatsTest, InterleavedAddAndPercentileStaysCorrect) {
-  // The cached sort must invalidate on every Add: alternate queries and
-  // inserts and re-check against the exact order statistic each time.
-  LatencyStats s;
-  for (int i = 1; i <= 50; ++i) {
-    s.Add(i);
-    EXPECT_DOUBLE_EQ(s.Percentile(100), static_cast<double>(i)) << i;
-    EXPECT_DOUBLE_EQ(s.Percentile(0), 1.0) << i;
-  }
-  EXPECT_NEAR(s.Percentile(50), 25.5, 0.5);
-  s.Clear();
-  EXPECT_EQ(s.Percentile(50), 0.0);
-  s.Add(7.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(50), 7.0);
-}
-
 TEST(LoggingTest, SetLogLevelFromEnvParsesNamesAndNumbers) {
   const LogLevel saved = GetLogLevel();
   ::setenv("ZOOMER_LOG_LEVEL", "error", 1);

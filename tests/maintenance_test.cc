@@ -550,6 +550,27 @@ TEST(HotNodeCacheTest, MaterializedSamplingMatchesExactWeights) {
   for (NodeId nb : distinct) {
     EXPECT_TRUE(nb == 0 || nb == 2 || nb == 3 || nb == 4);
   }
+  EXPECT_EQ(distinct, (std::vector<NodeId>{4, 3, 0, 2}));
+  EXPECT_EQ(rng.NextUint64(), 213826401392939457ull);
+
+  // Pinned fixed-seed draws through the hot entry (node 1) beside an
+  // uncached overlay row (node 3): the batch and the single-draw loop must
+  // both reproduce them and leave the Rng at the same word.
+  const std::vector<NodeId> nodes = {1, 3, 1};
+  const std::vector<NodeId> pinned = {3, 4, 4, 3, 3, 1, 1, 1,
+                                      1, 1, 4, 0, 3, 0, 4};
+  Rng many_rng(515), loop_rng(515);
+  std::vector<NodeId> many, loop;
+  snap.SampleManyNeighbors({nodes.data(), nodes.size()}, 5, &many_rng, &many);
+  for (NodeId v : nodes) {
+    for (int j = 0; j < 5; ++j) {
+      loop.push_back(snap.SampleNeighbor(v, &loop_rng));
+    }
+  }
+  EXPECT_EQ(many, pinned);
+  EXPECT_EQ(loop, pinned);
+  EXPECT_EQ(many_rng.NextUint64(), 5685162569280510848ull);
+  EXPECT_EQ(loop_rng.NextUint64(), 5685162569280510848ull);
 
   // Neighbors through the cache equals the uncached merge.
   std::vector<graph::NeighborEntry> cached_merge;

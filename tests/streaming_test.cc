@@ -459,6 +459,93 @@ TEST(DynamicGraphTest, SampleManyNeighborsMatchesLoopAcrossMidBatchFold) {
   EXPECT_GT(snap2.Degree(1), snap.Degree(1));
 }
 
+/// The draws every snapshot entry point makes under one seed: the batch, the
+/// single-draw loop and the distinct draws, each with the Rng word it leaves
+/// next (so a change in Rng consumption shows even when the ids agree).
+struct DrawRecord {
+  std::vector<NodeId> many, loop;
+  std::vector<std::vector<NodeId>> distinct;  // one list per node
+  uint64_t many_next = 0, loop_next = 0, distinct_next = 0;
+};
+
+DrawRecord RecordDraws(const DynamicHeteroGraph::Snapshot& snap,
+                       const std::vector<NodeId>& nodes, int k,
+                       uint64_t seed) {
+  DrawRecord rec;
+  Rng many_rng(seed), loop_rng(seed), distinct_rng(seed);
+  snap.SampleManyNeighbors({nodes.data(), nodes.size()}, k, &many_rng,
+                           &rec.many);
+  for (NodeId v : nodes) {
+    for (int j = 0; j < k; ++j) {
+      rec.loop.push_back(snap.SampleNeighbor(v, &loop_rng));
+    }
+    rec.distinct.push_back(snap.SampleDistinctNeighbors(v, k, &distinct_rng));
+  }
+  rec.many_next = many_rng.NextUint64();
+  rec.loop_next = loop_rng.NextUint64();
+  rec.distinct_next = distinct_rng.NextUint64();
+  return rec;
+}
+
+/// The batch and the loop must both equal `draws` and leave the Rng at the
+/// same word; the distinct draws are pinned separately.
+void ExpectDraws(const DrawRecord& rec, const std::vector<NodeId>& draws,
+                 uint64_t next,
+                 const std::vector<std::vector<NodeId>>& distinct,
+                 uint64_t distinct_next) {
+  EXPECT_EQ(rec.many, draws);
+  EXPECT_EQ(rec.loop, draws);
+  EXPECT_EQ(rec.many_next, next);
+  EXPECT_EQ(rec.loop_next, next);
+  EXPECT_EQ(rec.distinct, distinct);
+  EXPECT_EQ(rec.distinct_next, distinct_next);
+}
+
+TEST(DynamicGraphTest, DrawSequencesPinnedAcrossSnapshotCases) {
+  // Fixed-seed draw sequences pinned as constants: any change in how the
+  // snapshot consumes the Rng moves them. Nodes cover an untouched base row
+  // (0), a weighted overlay row (1), a base row whose only delta the window
+  // expires (4), a base-less row whose only live delta under the window
+  // weighs zero (5), an overlay-born weighted row (8) and an overlay-born
+  // all-zero-weight row (9). The windowed snapshot adds TTL exclusion and
+  // decayed weights.
+  HeteroGraph g = MakeTinyGraph(6, {1.0f, 3.0f, 0.5f});
+  GraphDeltaLog log(1);
+  DynamicHeteroGraph dyn(&g);
+  ManualClock clock(120);
+  dyn.SetClock(&clock);
+  ASSERT_TRUE(dyn.ApplyBatch(MakeBatch(&log, 0,
+                                       {{1, 5, RelationKind::kClick, 2.0f, 0},
+                                        {1, 6, RelationKind::kClick, 4.0f, 90},
+                                        {1, 7, RelationKind::kClick, 1.0f, 100},
+                                        {4, 6, RelationKind::kClick, 1.0f, 0}}))
+                  .ok());
+  ASSERT_TRUE(
+      dyn.ApplyBatch(MakeNodeBatch(&log, 0, &dyn, {MakeItemEvent()},
+                                   {{-1, 2, RelationKind::kClick, 2.0f, 110},
+                                    {-1, 3, RelationKind::kClick, 1.0f, 110}}))
+          .ok());
+  ASSERT_TRUE(
+      dyn.ApplyBatch(MakeNodeBatch(&log, 0, &dyn, {MakeItemEvent()},
+                                   {{-1, 5, RelationKind::kClick, 0.0f, 110},
+                                    {-1, 7, RelationKind::kClick, 0.0f, 110}}))
+          .ok());
+  const std::vector<NodeId> nodes = {0, 1, 4, 5, 8, 9};
+  ExpectDraws(RecordDraws(dyn.MakeSnapshot(), nodes, 4, 4242),
+              {1, 1, 1, 1, 6, 6, 2, 3, 6, 1, 1, 6,
+               1, 1, 1, 1, 3, 2, 2, 2, 5, 7, 7, 5},
+              6054656398199680410ull,
+              {{1}, {3, 2, 6, 5}, {1, 6}, {1}, {3, 2}, {7, 5}},
+              11070049676804575897ull);
+  ExpectDraws(RecordDraws(dyn.MakeSnapshot(DecaySpec::Window(50, 100.0)),
+                          nodes, 4, 4243),
+              {1, 1, 1, 1, 6, 6, 3, 3, 1, 1, 1, 1,
+               9, 9, 9, 9, 2, 3, 2, 2, 7, 5, 7, 7},
+              16019359982729784836ull,
+              {{1}, {6, 3, 4, 0}, {1}, {9}, {3, 2}, {7, 5}},
+              15230629811859829421ull);
+}
+
 TEST(DynamicGraphTest, ConcurrentBatchedSamplingDuringFoldIsRaceFree) {
   // Sanitizer target (ctest -L concurrent): batched snapshot reads race
   // incremental folds and fresh deltas. Pinned snapshots must keep serving
@@ -1017,7 +1104,7 @@ TEST(IngestPipelineTest, IngestAppliesEventsAndNotifies) {
   eopt.num_shards = kShards;
   eopt.replication_factor = 1;
   engine::DistributedGraphEngine engine(&g, eopt);
-  engine.AttachDynamicGraph(&dyn);
+  engine.ConnectUpdateFanout(&log, &dyn);
 
   IngestOptions iopt;
   iopt.num_shards = kShards;
@@ -1055,12 +1142,16 @@ TEST(IngestPipelineTest, IngestAppliesEventsAndNotifies) {
     EXPECT_NE(std::find(touched.begin(), touched.end(), 5), touched.end());
   }
   // Engine: shard-routed update stats and dynamic sampling of fresh edges.
+  // The replicas apply the log on their own threads; the read-your-writes
+  // floor makes the read wait for (or fall back past) a replica that has
+  // not caught up with the flushed epoch yet.
   auto estats = engine.Stats();
   EXPECT_EQ(estats.total_update_events, stats.events_applied);
   engine::SampleRequest req;
   req.node = 1;
   req.k = 10;
   req.rng_seed = 3;
+  req.min_epoch = dyn.watermark_epoch();
   auto resp = engine.Sample(req);
   ASSERT_TRUE(resp.ok());
   bool has_fresh = false;
