@@ -15,8 +15,7 @@
 //      RoiSampler::SampleBatch speedup over per-ego calls (this also feeds
 //      the sampler.batch_* histograms that land in the obs. flatten),
 //   5. the ported legacy kernels: MinHash signatures, relevance scorers,
-//      attention forward/backward, PS pull/push, 3-stage pipeline overlap,
-//      and
+//      attention forward/backward and a 128x128 matmul, and
 //   6. the full metrics-registry snapshot flattened under "obs." keys
 //      (sampler.batch_size presence is CI-gated).
 //
@@ -24,7 +23,6 @@
 // writes the headline metrics as a flat JSON object (BENCH_*.json artifact).
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -42,7 +40,6 @@
 #include "graph/minhash.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
-#include "ps/parameter_server.h"
 #include "streaming/dynamic_graph_view.h"
 #include "streaming/dynamic_hetero_graph.h"
 #include "streaming/graph_delta_log.h"
@@ -453,43 +450,6 @@ int Run(const BenchConfig& cfg) {
     const double matmul_ms = tmm.ElapsedMillis() / mm;
     std::printf("[kernels] matmul 128x128: %.2f ms\n", matmul_ms);
     sink.Record("matmul_128_ms", matmul_ms);
-
-    // PS pull/push.
-    ps::ParameterServerOptions popt;
-    popt.num_shards = 4;
-    popt.table.dim = 16;
-    ps::ParameterServer server(popt);
-    std::vector<float> buf;
-    const int ops = cfg.smoke ? 500 : 5000;
-    WallTimer tp;
-    for (int i = 0; i < ops; ++i) {
-      std::vector<ps::Key> keys;
-      for (int j = 0; j < 32; ++j) {
-        keys.push_back(static_cast<ps::Key>(rng.Uniform(10000)));
-      }
-      server.Pull(keys, &buf);
-      server.PushAsync(keys, std::vector<float>(keys.size() * 16, 0.01f));
-    }
-    server.Flush();
-    const double ps_us = tp.ElapsedMicros() / ops;
-    std::printf("[kernels] ps pull+push (32 keys, dim 16): %.2f us\n", ps_us);
-    sink.Record("ps_pullpush_us", ps_us);
-
-    // 3-stage pipeline overlap.
-    auto stage = [](int64_t) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    };
-    ps::AsyncPipeline pipeline(stage, stage, stage);
-    WallTimer tseq;
-    pipeline.Run(20, /*overlap=*/false);
-    const double seq_ms = tseq.ElapsedMillis();
-    WallTimer tov;
-    pipeline.Run(20, /*overlap=*/true);
-    const double ov_ms = tov.ElapsedMillis();
-    std::printf("[kernels] 3-stage pipeline 20 items: %.1f ms sequential, "
-                "%.1f ms overlapped (%.2fx)\n",
-                seq_ms, ov_ms, seq_ms / ov_ms);
-    sink.Record("pipeline_overlap_speedup", seq_ms / ov_ms);
   }
 
   // ---- 6. Registry flatten --------------------------------------------------

@@ -1,5 +1,5 @@
 // Durability / crash-recovery benchmark for the persist layer
-// (src/persist/): checkpointed SegmentedCsr + WAL replay. Reports
+// (src/persist/): checkpointed base segments + WAL replay. Reports
 //   1. recovery time vs graph size: ingest, fold, checkpoint, keep
 //      ingesting a WAL tail, then RecoverFrom a cold directory — at three
 //      graph scales,

@@ -86,10 +86,10 @@ std::vector<NodeId> NodesOfTypeWithEdges(const graph::HeteroGraph& g,
   return all;
 }
 
-/// Works over any CSR-shaped graph exposing SampleNeighbor (the offline
-/// HeteroGraph and the dynamic graph's SegmentedCsr base).
-template <typename Csr>
-double TimeStaticSampling(const Csr& g, const std::vector<NodeId>& nodes,
+/// Per-draw cost of SampleNeighbor on an immutable graph (the offline graph
+/// or the dynamic graph's current base).
+double TimeStaticSampling(const graph::HeteroGraph& g,
+                          const std::vector<NodeId>& nodes,
                           int draws, uint64_t seed) {
   Rng rng(seed);
   WallTimer timer;

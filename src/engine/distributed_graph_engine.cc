@@ -19,10 +19,10 @@ namespace {
 
 /// Distinct weighted draws via the alias table (constant-time per draw);
 /// the shared GraphView helper provides the bounded-retry dedup the
-/// production engine's draw-with-dedup uses. Takes the view abstraction so
-/// the static path (CsrGraphView over the offline HeteroGraph) and the
-/// streaming path (SegmentedCsrView over a snapshot's pinned segmented
-/// base) share one implementation.
+/// production engine's draw-with-dedup uses. Both the static path and the
+/// streaming path's untouched base rows read through a CsrGraphView — over
+/// the offline graph or over a snapshot's pinned base, which shares its
+/// segments.
 SampleResponse SampleFromCsr(const graph::GraphView& g,
                              const SampleRequest& req) {
   SampleResponse resp;
@@ -98,7 +98,7 @@ StatusOr<SampleResponse> SampleFromSnapshot(
   }
   if (snap.DeltaDegree(req.node) == 0) {
     if (!snap.InBase(req.node)) return SampleResponse{};  // isolated
-    return SampleFromCsr(graph::SegmentedCsrView(snap.base()), req);
+    return SampleFromCsr(graph::CsrGraphView(snap.base()), req);
   }
   std::vector<graph::NeighborEntry> merged;
   snap.Neighbors(req.node, &merged);
@@ -267,8 +267,9 @@ void DistributedGraphEngine::ConnectUpdateFanout(
   }
   for (auto& rep : replicas_) {
     // Every replica builds its own delta view over the shared immutable
-    // base and replays the log independently; its registered consumer
-    // cursor pins the log tail it has not applied yet (survives kills).
+    // base (adopting its segments, not copying rows) and replays the log
+    // independently; its registered consumer cursor pins the log tail it
+    // has not applied yet (survives kills).
     rep->dyn = std::make_unique<streaming::DynamicHeteroGraph>(graph_);
     rep->shard->AttachDynamicGraph(rep->dyn.get());
     rep->log_consumer = log_->RegisterConsumer(0);
@@ -406,6 +407,11 @@ bool DistributedGraphEngine::IsReplicaAlive(int shard, int r) const {
 
 uint64_t DistributedGraphEngine::ReplicaWatermark(int shard, int r) const {
   return replica(shard, r)->watermark.load(std::memory_order_acquire);
+}
+
+const streaming::DynamicHeteroGraph* DistributedGraphEngine::ReplicaGraph(
+    int shard, int r) const {
+  return replica(shard, r)->dyn.get();
 }
 
 bool DistributedGraphEngine::AwaitReplicaCatchUp(int shard, int r,

@@ -1,12 +1,13 @@
 // Distributed graph engine (paper Sec. VI, "Distributed graph engine" built
 // on Euler): the graph is hash-partitioned into shards for storage capacity,
 // and each shard is a *replica group* — every replica owns an independent
-// DynamicHeteroGraph over the shared immutable base plus its own apply
-// cursor into the shared GraphDeltaLog. The ingest pipeline applies a batch
-// to the primary graph, then publishes its epoch to the owning shard's
-// fanout bus; each replica's applier thread replays the log tail up to the
-// primary's watermark and advances an explicit per-replica apply watermark
-// (exported as "engine.replica_watermark_lag" gauges).
+// DynamicHeteroGraph over the shared immutable base (it shares the base's
+// segments, no row copies) plus its own apply cursor into the shared
+// GraphDeltaLog. The ingest pipeline applies a batch to the primary graph,
+// then publishes its epoch to the owning shard's fanout bus; each replica's
+// applier thread replays the log tail up to the primary's watermark and
+// advances an explicit per-replica apply watermark (exported as
+// "engine.replica_watermark_lag" gauges).
 //
 // Routing picks the least-loaded *alive* replica of the owning shard,
 // subject to a freshness bound: a request may carry a min_epoch floor
@@ -243,6 +244,10 @@ class DistributedGraphEngine {
 
   /// Epochs the replica has applied through (0 outside replica-group mode).
   uint64_t ReplicaWatermark(int shard, int replica) const;
+
+  /// The replica's delta view (null before ConnectUpdateFanout).
+  const streaming::DynamicHeteroGraph* ReplicaGraph(int shard,
+                                                    int replica) const;
 
   /// Blocks until the replica's watermark reaches the primary's current
   /// watermark (true) or the timeout elapses (false).

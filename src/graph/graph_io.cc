@@ -334,7 +334,7 @@ StatusOr<std::shared_ptr<const CsrSegment>> LoadCsrSegment(
     wbuf.assign(seg->nbr_weight_.begin() + seg->offsets_[r2],
                 seg->nbr_weight_.begin() + seg->offsets_[r2 + 1]);
     for (double wv : wbuf) {
-      if (!(wv >= 0.0)) {
+      if (!(wv >= 0.0) || wv > 1e30) {
         return Status::InvalidArgument("invalid neighbor weight in " + path);
       }
     }

@@ -1,7 +1,8 @@
 // Unified read view over a heterogeneous graph (ROADMAP: delta-aware ROI
 // sampling). The ROI sampler, relevance scorer, and trainer all consume this
 // interface instead of the concrete CSR, so the same sampling code runs over
-//   - the immutable offline HeteroGraph (CsrGraphView, zero-copy spans), and
+//   - an immutable HeteroGraph (CsrGraphView, zero-copy spans into its
+//     segments) — the offline graph, or a snapshot's pinned base, and
 //   - the streaming delta overlay (streaming::DynamicGraphView, epoch-pinned
 //     snapshots that merge base CSR ranges with per-node delta suffixes).
 // A training run attached to the ingest pipeline therefore scores neighbors
@@ -44,20 +45,17 @@ struct NeighborScratch {
   std::vector<RelationKind> kinds;
 };
 
-/// Zero-copy typed sub-block of a node's CSR neighbor arrays. Works over
-/// any CSR-shaped graph exposing neighbor_ids/NeighborsOfType/
-/// neighbor_weights/neighbor_kinds (the monolithic HeteroGraph and the
-/// node-partitioned SegmentedCsr). Typed-range offsets may be absolute into
-/// global arrays (HeteroGraph) or segment-local (SegmentedCsr); rebasing
-/// the typed span onto the node's block normalizes both — the one place
-/// that arithmetic lives.
-template <typename Csr>
-inline NeighborBlock TypedCsrBlock(const Csr& g, NodeId id, NodeType t) {
-  const auto ids = g.neighbor_ids(id);
-  const auto typed = g.NeighborsOfType(id, t);
-  const size_t rel = static_cast<size_t>(typed.data() - ids.data());
-  return {typed, g.neighbor_weights(id).subspan(rel, typed.size()),
-          g.neighbor_kinds(id).subspan(rel, typed.size())};
+/// Zero-copy typed sub-block of a node's neighbor arrays: the parallel
+/// (id, weight, kind) spans of its neighbors of type `t`.
+inline NeighborBlock TypedCsrBlock(const HeteroGraph& g, NodeId id,
+                                   NodeType t) {
+  const auto [seg, r] = g.Locate(id);
+  const auto [b, e] = seg->row_typed_range(r, t);
+  const size_t off = static_cast<size_t>(b);
+  const size_t len = static_cast<size_t>(e - b);
+  return {seg->row_neighbor_ids(r).subspan(off, len),
+          seg->row_neighbor_weights(r).subspan(off, len),
+          seg->row_neighbor_kinds(r).subspan(off, len)};
 }
 
 /// Read interface shared by the static CSR and the streaming delta overlay.
@@ -101,9 +99,9 @@ class GraphView {
   /// -1 rows). Every implementation consumes the Rng draw-for-draw exactly
   /// like k SampleNeighbor calls per node in order, so the default loop and
   /// the batched overrides are bit-identical under a fixed seed. Overrides
-  /// (CsrGraphView, SegmentedCsrView, the dynamic snapshot) pin the epoch
-  /// snapshot once per batch, prefetch CSR rows and alias buckets one node
-  /// ahead, and draw through AliasTable::SampleBatch.
+  /// (CsrGraphView, the dynamic snapshot) pin the epoch snapshot once per
+  /// batch, prefetch CSR rows and alias buckets one node ahead, and draw
+  /// through AliasTable::SampleBatch.
   virtual void SampleManyNeighbors(std::span<const NodeId> nodes, int k,
                                    Rng* rng, std::vector<NodeId>* out) const;
 
@@ -117,8 +115,9 @@ class GraphView {
   virtual uint64_t epoch() const { return 0; }
 };
 
-/// Zero-copy adapter over the immutable CSR. Cheap to construct (stores one
-/// pointer); `base` must outlive the view.
+/// Zero-copy adapter over an immutable HeteroGraph. Cheap to construct
+/// (stores one pointer); `base` must outlive the view (snapshots pin their
+/// base, satisfying this on the streaming read path).
 class CsrGraphView final : public GraphView {
  public:
   explicit CsrGraphView(const HeteroGraph* base) : g_(base) {}

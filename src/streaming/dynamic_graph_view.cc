@@ -10,7 +10,7 @@ graph::NeighborBlock DynamicGraphView::Neighbors(
   // overlay-born id must resolve through the snapshot even when it has no
   // deltas yet (the base arrays do not cover it).
   if (snapshot_.InBase(id) && !snapshot_.MaybeHasDelta(id)) {
-    const graph::SegmentedCsr& base = snapshot_.base();
+    const graph::HeteroGraph& base = snapshot_.base();
     return {base.neighbor_ids(id), base.neighbor_weights(id),
             base.neighbor_kinds(id)};
   }

@@ -16,17 +16,9 @@ namespace streaming {
 using graph::HeteroGraph;
 using graph::NeighborEntry;
 using graph::NodeId;
-using graph::SegmentedCsr;
 
 DynamicHeteroGraph::DynamicHeteroGraph(const HeteroGraph* base,
                                        DynamicHeteroGraphOptions options)
-    : DynamicHeteroGraph(
-          std::shared_ptr<const HeteroGraph>(base, [](const HeteroGraph*) {}),
-          options) {}
-
-DynamicHeteroGraph::DynamicHeteroGraph(
-    std::shared_ptr<const HeteroGraph> base,
-    DynamicHeteroGraphOptions options)
     : options_(options),
       overlay_origin_(base != nullptr ? base->num_nodes() : 0),
       mint_origin_(base != nullptr ? base->num_nodes() : 0),
@@ -43,28 +35,20 @@ DynamicHeteroGraph::DynamicHeteroGraph(
   }
   content_dim_ = base->content_dim();
   zero_content_.assign(static_cast<size_t>(content_dim_), 0.0f);
-  int64_t span = options_.segment_span;
-  if (span == 0) {
-    // Auto: ~16 segments over the base, never finer than 64 rows — small
-    // graphs degenerate to one segment (incremental == full fold there).
-    const int64_t target = std::max<int64_t>(64, overlay_origin_ / 16);
-    span = 64;
-    while (span < target) span <<= 1;
-  }
-  ZCHECK(span > 0 && (span & (span - 1)) == 0)
-      << "segment_span must be a power of two";
-  segment_span_ = span;
-  segment_shift_ = 0;
-  while ((int64_t{1} << segment_shift_) < span) ++segment_shift_;
+  // Generation 1 for the initial partition (Repartitioned keeps or
+  // rebuilds segments at generation 1): 0 stays the "beyond coverage"
+  // sentinel generation_of() hands out for never-folded overlay ids.
+  base_ = std::make_shared<const HeteroGraph>(base->Repartitioned(
+      options_.segment_span != 0 ? options_.segment_span
+                                 : base->segment_span()));
+  base_generation_.store(1, std::memory_order_release);
+  segment_span_ = base_->segment_span();
+  segment_shift_ = base_->span_shift();
   for (int t = 0; t < graph::kNumNodeTypes; ++t) {
     base_type_counts_[t] =
         base->num_nodes_of_type(static_cast<graph::NodeType>(t));
   }
   EnsureEpochSlots(overlay_origin_);
-  // Generation 1 for the initial partition: 0 stays the "beyond coverage"
-  // sentinel generation_of() hands out for never-folded overlay ids.
-  base_ = std::make_shared<const SegmentedCsr>(*base, span, /*generation=*/1);
-  base_generation_.store(1, std::memory_order_release);
 }
 
 StatusOr<std::unique_ptr<DynamicHeteroGraph>> DynamicHeteroGraph::Recover(
@@ -364,12 +348,12 @@ void DynamicHeteroGraph::AdvanceAppliedNodePrefix() {
   applied_node_prefix_.store(prefix, std::memory_order_release);
 }
 
-std::shared_ptr<const SegmentedCsr> DynamicHeteroGraph::base() const {
+std::shared_ptr<const HeteroGraph> DynamicHeteroGraph::base() const {
   std::shared_lock<std::shared_mutex> lock(base_mu_);
   return base_;
 }
 
-std::pair<std::shared_ptr<const SegmentedCsr>, uint64_t>
+std::pair<std::shared_ptr<const HeteroGraph>, uint64_t>
 DynamicHeteroGraph::CapturedBase() const {
   std::shared_lock<std::shared_mutex> lock(base_mu_);
   return {base_, base_generation_.load(std::memory_order_acquire)};
@@ -408,7 +392,7 @@ void DynamicHeteroGraph::DetachHotNodeCache(
 
 DynamicHeteroGraph::Snapshot::Snapshot(
     const DynamicHeteroGraph* owner,
-    std::shared_ptr<const SegmentedCsr> base, uint64_t base_generation,
+    std::shared_ptr<const HeteroGraph> base, uint64_t base_generation,
     uint64_t epoch, DecaySpec decay, int64_t as_of)
     : owner_(owner),
       base_(std::move(base)),
@@ -694,7 +678,7 @@ Status DynamicHeteroGraph::RegisterNodeEvents(const DeltaBatch& batch) {
   return GrowAllocationLocked(allocated, batch.epoch);
 }
 
-void DynamicHeteroGraph::AppendHalfEdge(const SegmentedCsr& base, NodeId node,
+void DynamicHeteroGraph::AppendHalfEdge(const HeteroGraph& base, NodeId node,
                                         NeighborEntry entry, uint64_t epoch,
                                         int64_t timestamp) {
   LockShard& sh = lock_shards_[ShardFor(node)];
@@ -1591,7 +1575,7 @@ StatusOr<uint64_t> DynamicHeteroGraph::CompactSegments(
   // Clear the folded overlays; carry over what the fold could not absorb
   // (entries past the fold epoch or touching a not-yet-foldable node),
   // rebuilt against the new base. Overlays of unselected segments are not
-  // touched — their base rows are shared with the old SegmentedCsr.
+  // touched — their base rows are shared with the old HeteroGraph.
   int64_t removed_total = 0;
   std::unordered_map<int64_t, int64_t> retained_per_seg;
   for (int64_t s : segments) retained_per_seg.emplace(s, 0);

@@ -1,11 +1,10 @@
-// Tests for the distributed substrates: graph-engine sharding/replication,
-// parameter-server pull/push semantics, async staleness, and the 3-stage
-// pipeline overlap.
+// Tests for the distributed graph engine: sharding, replica groups, update
+// fanout, freshness routing, and replica kill/revive.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <set>
 #include <string>
 #include <thread>
@@ -14,8 +13,6 @@
 #include "data/taobao_generator.h"
 #include "engine/distributed_graph_engine.h"
 #include "obs/metrics.h"
-#include "ps/embedding_table.h"
-#include "ps/parameter_server.h"
 #include "streaming/dynamic_hetero_graph.h"
 #include "streaming/graph_delta_log.h"
 #include "streaming/ingest_pipeline.h"
@@ -237,6 +234,43 @@ graph::HeteroGraph MakeStreamGraph(int num_items, int base_items) {
                     .ok());
   }
   return b.Build();
+}
+
+TEST(ReplicaGroupTest, PrimaryAndReplicasShareTheBaseSegments) {
+  // Default options: the primary graph and every replica adopt the offline
+  // graph's segments instead of copying its rows.
+  const graph::HeteroGraph& g = Dataset().graph;
+  ASSERT_GT(g.num_segments(), 1);
+  streaming::GraphDeltaLog log(1);
+  streaming::DynamicHeteroGraph primary(&g);
+  engine::EngineOptions opt;
+  opt.num_shards = 1;
+  opt.replication_factor = 2;
+  engine::DistributedGraphEngine eng(&g, opt);
+  EXPECT_EQ(eng.ReplicaGraph(0, 0), nullptr);
+  eng.ConnectUpdateFanout(&log, &primary);
+  std::vector<const streaming::DynamicHeteroGraph*> graphs = {&primary};
+  for (int r = 0; r < 2; ++r) graphs.push_back(eng.ReplicaGraph(0, r));
+  for (const streaming::DynamicHeteroGraph* dyn : graphs) {
+    ASSERT_NE(dyn, nullptr);
+    const auto base = dyn->base();
+    ASSERT_EQ(base->num_segments(), g.num_segments());
+    for (int64_t s = 0; s < g.num_segments(); ++s) {
+      EXPECT_EQ(base->segment_ptr(s), g.segment_ptr(s)) << "segment " << s;
+    }
+  }
+
+  // Any other span repartitions by row copies; reads stay identical.
+  streaming::DynamicHeteroGraphOptions gopt;
+  gopt.segment_span = g.segment_span() / 2;
+  streaming::DynamicHeteroGraph split(&g, gopt);
+  EXPECT_EQ(split.base()->segment_span(), g.segment_span() / 2);
+  EXPECT_NE(split.base()->segment_ptr(0), g.segment_ptr(0));
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto a = split.base()->neighbor_ids(v);
+    const auto b = g.neighbor_ids(v);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  }
 }
 
 TEST(ReplicaGroupTest, FanoutCatchesEveryReplicaUp) {
@@ -541,145 +575,6 @@ TEST(ReplicaGroupTest, KillReplicaRacesIngestAndSampling) {
   }
   EXPECT_GT(served.load(), 0);
   pipe.Stop();
-}
-
-// --- EmbeddingTable / ParameterServer -------------------------------------------
-
-TEST(EmbeddingTableTest, PullInitializesDeterministically) {
-  ps::EmbeddingTableOptions opt;
-  opt.dim = 4;
-  ps::EmbeddingTable a(opt), b(opt);
-  std::vector<float> va, vb;
-  a.Pull({5, 9}, &va);
-  b.Pull({5, 9}, &vb);
-  EXPECT_EQ(va, vb);  // same seed, same init
-  EXPECT_EQ(va.size(), 8u);
-  EXPECT_EQ(a.num_keys(), 2);
-}
-
-TEST(EmbeddingTableTest, PushAppliesAdagradUpdate) {
-  ps::EmbeddingTableOptions opt;
-  opt.dim = 2;
-  opt.learning_rate = 1.0f;
-  ps::EmbeddingTable t(opt);
-  std::vector<float> before, after;
-  t.Pull({1}, &before);
-  // grad g: update = lr * g / (sqrt(g^2)+eps) = sign(g)
-  ASSERT_TRUE(t.Push({1}, {2.0f, -2.0f}).ok());
-  t.Pull({1}, &after);
-  EXPECT_NEAR(after[0], before[0] - 1.0f, 1e-4f);
-  EXPECT_NEAR(after[1], before[1] + 1.0f, 1e-4f);
-}
-
-TEST(EmbeddingTableTest, PushToUnknownKeyIsDropped) {
-  ps::EmbeddingTableOptions opt;
-  opt.dim = 2;
-  ps::EmbeddingTable t(opt);
-  EXPECT_TRUE(t.Push({42}, {1.0f, 1.0f}).ok());
-  EXPECT_EQ(t.num_keys(), 0);  // stale push without prior pull is dropped
-}
-
-TEST(EmbeddingTableTest, RejectsSizeMismatch) {
-  ps::EmbeddingTableOptions opt;
-  opt.dim = 3;
-  ps::EmbeddingTable t(opt);
-  EXPECT_FALSE(t.Push({1}, {1.0f}).ok());
-}
-
-TEST(EmbeddingTableTest, ConcurrentPullPushSafe) {
-  ps::EmbeddingTableOptions opt;
-  opt.dim = 4;
-  ps::EmbeddingTable t(opt);
-  std::vector<std::thread> threads;
-  for (int w = 0; w < 4; ++w) {
-    threads.emplace_back([&t, w] {
-      std::vector<float> buf;
-      for (int i = 0; i < 500; ++i) {
-        std::vector<ps::Key> keys = {i % 37, (i + w) % 37};
-        t.Pull(keys, &buf);
-        std::vector<float> grads(8, 0.01f);
-        t.Push(keys, grads);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_LE(t.num_keys(), 40);
-}
-
-TEST(ParameterServerTest, PullPreservesRequestOrderAcrossShards) {
-  ps::ParameterServerOptions opt;
-  opt.num_shards = 4;
-  opt.table.dim = 3;
-  ps::ParameterServer server(opt);
-  std::vector<ps::Key> keys = {10, 3, 77, 3, 21};
-  std::vector<float> out;
-  server.Pull(keys, &out);
-  ASSERT_EQ(out.size(), keys.size() * 3);
-  // Duplicate key 3 must return identical rows.
-  for (int d = 0; d < 3; ++d) {
-    EXPECT_EQ(out[1 * 3 + d], out[3 * 3 + d]);
-  }
-}
-
-TEST(ParameterServerTest, AsyncPushEventuallyApplies) {
-  ps::ParameterServerOptions opt;
-  opt.num_shards = 2;
-  opt.table.dim = 2;
-  opt.table.learning_rate = 1.0f;
-  ps::ParameterServer server(opt);
-  std::vector<float> before, after;
-  server.Pull({7}, &before);
-  server.PushAsync({7}, {1.0f, 1.0f});
-  server.Flush();
-  EXPECT_EQ(server.pushes_applied(), server.pushes_enqueued());
-  server.Pull({7}, &after);
-  EXPECT_LT(after[0], before[0]);  // update landed
-}
-
-TEST(ParameterServerTest, ManyAsyncPushesFromWorkers) {
-  ps::ParameterServerOptions opt;
-  opt.num_shards = 4;
-  opt.table.dim = 4;
-  ps::ParameterServer server(opt);
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([&server, w] {
-      std::vector<float> buf;
-      for (int i = 0; i < 200; ++i) {
-        std::vector<ps::Key> keys = {(w * 200 + i) % 91};
-        server.Pull(keys, &buf);
-        server.PushAsync(keys, std::vector<float>(4, 0.1f));
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-  server.Flush();
-  EXPECT_EQ(server.pushes_applied(), server.pushes_enqueued());
-  EXPECT_LE(server.num_keys(), 91);
-}
-
-TEST(AsyncPipelineTest, OverlapBeatsSequentialForBalancedStages) {
-  // Three 200us stages, 30 items: sequential ~18ms, pipelined ~6ms + eps.
-  auto stage = [](int64_t) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  };
-  ps::AsyncPipeline pipeline(stage, stage, stage);
-  const double seq = pipeline.Run(30, /*overlap=*/false);
-  const double par = pipeline.Run(30, /*overlap=*/true);
-  EXPECT_LT(par, seq * 0.7) << "pipeline overlap provided no speedup";
-}
-
-TEST(AsyncPipelineTest, ProcessesEveryItemExactlyOnceInOrder) {
-  std::vector<int64_t> seen;
-  std::mutex mu;
-  ps::AsyncPipeline pipeline([](int64_t) {}, [](int64_t) {},
-                             [&](int64_t i) {
-                               std::lock_guard<std::mutex> lock(mu);
-                               seen.push_back(i);
-                             });
-  pipeline.Run(50, /*overlap=*/true);
-  ASSERT_EQ(seen.size(), 50u);
-  for (int64_t i = 0; i < 50; ++i) EXPECT_EQ(seen[i], i);  // FIFO stages
 }
 
 }  // namespace

@@ -3,17 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "common/random.h"
+#include "data/taobao_generator.h"
 #include "graph/alias_table.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_view.h"
 #include "graph/hetero_graph.h"
 #include "graph/minhash.h"
-#include "graph/segmented_csr.h"
 #include "graph/session_log.h"
 
 namespace zoomer {
@@ -248,24 +250,6 @@ TEST(HeteroGraphTest, SampleNeighborIsolatedNodeReturnsMinusOne) {
   EXPECT_EQ(g.SampleNeighbor(0, &rng), -1);
 }
 
-TEST(HeteroGraphTest, SampleNeighborsUniformDistinct) {
-  HeteroGraphBuilder b(1);
-  b.AddNode(NodeType::kUser, {0.0f}, {});
-  for (int i = 0; i < 20; ++i) {
-    b.AddNode(NodeType::kItem, {0.0f}, {});
-    EXPECT_TRUE(b.AddEdge(0, i + 1, RelationKind::kClick).ok());
-  }
-  HeteroGraph g = b.Build();
-  Rng rng(13);
-  auto sample = g.SampleNeighborsUniform(0, 8, &rng);
-  EXPECT_EQ(sample.size(), 8u);
-  std::set<NodeId> uniq(sample.begin(), sample.end());
-  EXPECT_EQ(uniq.size(), 8u);
-  // Degree smaller than k returns the full block.
-  auto all = g.SampleNeighborsUniform(0, 50, &rng);
-  EXPECT_EQ(all.size(), 20u);
-}
-
 TEST(HeteroGraphBuilderTest, RejectsBadEdges) {
   HeteroGraphBuilder b(1);
   b.AddNode(NodeType::kUser, {0.0f}, {});
@@ -274,7 +258,110 @@ TEST(HeteroGraphBuilderTest, RejectsBadEdges) {
   EXPECT_FALSE(b.AddEdge(0, 5, RelationKind::kClick).ok());   // out of range
   EXPECT_FALSE(b.AddEdge(-1, 1, RelationKind::kClick).ok());  // negative
   EXPECT_FALSE(b.AddEdge(0, 1, RelationKind::kClick, -2.0f).ok());  // neg w
+  EXPECT_FALSE(b.AddEdge(0, 1, RelationKind::kClick,
+                         std::numeric_limits<float>::quiet_NaN())
+                   .ok());
+  EXPECT_FALSE(b.AddEdge(0, 1, RelationKind::kClick,
+                         std::numeric_limits<float>::infinity())
+                   .ok());
+  EXPECT_EQ(b.num_edges_added(), 0);
   EXPECT_TRUE(b.AddEdge(0, 1, RelationKind::kClick, 1.0f).ok());
+}
+
+// Word-wise FNV-1a over the offline CSR's observable state.
+uint64_t Mix(uint64_t h, uint64_t v) {
+  return (h ^ v) * 0x100000001b3ull;
+}
+uint64_t FloatBits(float f) {
+  uint32_t b = 0;
+  std::memcpy(&b, &f, sizeof(b));
+  return b;
+}
+
+/// Every row of `g`: type, slots, and the neighbor block (ids, weight bits,
+/// kinds) with each type's sub-range relative to the block. Content vectors
+/// are left out: the generator computes them in float math that compiles
+/// differently at other optimization levels (sanitizer builds).
+uint64_t RowFingerprint(const HeteroGraph& g) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    h = Mix(h, static_cast<uint64_t>(g.node_type(v)));
+    for (const int64_t s : g.slots(v)) h = Mix(h, static_cast<uint64_t>(s));
+    const auto ids = g.neighbor_ids(v);
+    h = Mix(h, ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      h = Mix(h, static_cast<uint64_t>(ids[i]));
+      h = Mix(h, FloatBits(g.neighbor_weights(v)[i]));
+      h = Mix(h, static_cast<uint64_t>(g.neighbor_kinds(v)[i]));
+    }
+    for (int t = 0; t < kNumNodeTypes; ++t) {
+      const auto typed = g.NeighborsOfType(v, static_cast<NodeType>(t));
+      h = Mix(h, static_cast<uint64_t>(typed.data() - ids.data()));
+      h = Mix(h, typed.size());
+    }
+  }
+  return h;
+}
+
+TEST(HeteroGraphTest, OfflineBuildPinnedAtFixedSeed) {
+  // Constants captured from the build before the offline graph was built
+  // straight into segments: the rows, their block order, and every
+  // fixed-seed draw sequence must not move.
+  data::TaobaoGeneratorOptions opt;
+  opt.num_users = 100;
+  opt.num_queries = 60;
+  opt.num_items = 200;
+  opt.num_sessions = 600;
+  opt.num_categories = 8;
+  opt.content_dim = 16;
+  opt.seed = 5;
+  const HeteroGraph g = data::GenerateTaobaoDataset(opt).graph;
+  EXPECT_EQ(g.num_nodes(), 360);
+  EXPECT_EQ(g.num_edges(), 6372);
+  EXPECT_EQ(RowFingerprint(g), 12502716824331352387ull);
+
+  Rng single(17);
+  uint64_t h = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    h = Mix(h, static_cast<uint64_t>(g.SampleNeighbor(v, &single)));
+  }
+  EXPECT_EQ(h, 14490722066590401879ull);
+  EXPECT_EQ(single.NextUint64(), 11257006705092486005ull);
+
+  std::vector<NodeId> nodes;
+  for (NodeId v = g.num_nodes() - 1; v >= 0; v -= 3) nodes.push_back(v);
+  Rng many(19);
+  std::vector<NodeId> out;
+  g.SampleManyNeighbors({nodes.data(), nodes.size()}, 5, &many, &out);
+  h = 0;
+  for (const NodeId nb : out) h = Mix(h, static_cast<uint64_t>(nb));
+  EXPECT_EQ(h, 990450697259372818ull);
+  EXPECT_EQ(many.NextUint64(), 2790418580404190060ull);
+}
+
+TEST(HeteroGraphTest, ParallelEdgesKeepInsertionOrder) {
+  // Hand-built graphs may repeat an edge (same endpoints and kind) with
+  // different weights; such ties keep AddEdge order, so the block layout,
+  // the alias table and every draw are deterministic.
+  HeteroGraphBuilder b(1);
+  b.AddNode(NodeType::kQuery, {0.0f}, {});
+  b.AddNode(NodeType::kItem, {0.0f}, {});
+  b.AddNode(NodeType::kItem, {0.0f}, {});
+  EXPECT_TRUE(b.AddEdge(0, 2, RelationKind::kClick, 4.0f).ok());
+  EXPECT_TRUE(b.AddEdge(0, 1, RelationKind::kClick, 1.0f).ok());
+  EXPECT_TRUE(b.AddEdge(0, 2, RelationKind::kClick, 2.0f).ok());
+  EXPECT_TRUE(b.AddEdge(0, 1, RelationKind::kClick, 3.0f).ok());
+  EXPECT_TRUE(b.AddEdge(0, 2, RelationKind::kSession, 5.0f).ok());
+  const HeteroGraph g = b.Build();
+  const std::vector<NodeId> ids(g.neighbor_ids(0).begin(),
+                                g.neighbor_ids(0).end());
+  const std::vector<float> weights(g.neighbor_weights(0).begin(),
+                                   g.neighbor_weights(0).end());
+  EXPECT_EQ(ids, (std::vector<NodeId>{1, 1, 2, 2, 2}));
+  EXPECT_EQ(weights, (std::vector<float>{1.0f, 3.0f, 4.0f, 2.0f, 5.0f}));
+  const std::vector<float> item2(g.neighbor_weights(2).begin(),
+                                 g.neighbor_weights(2).end());
+  EXPECT_EQ(item2, (std::vector<float>{4.0f, 2.0f, 5.0f}));
 }
 
 TEST(HeteroGraphTest, MemoryBytesPositiveAndDebugString) {
@@ -405,7 +492,7 @@ TEST(GraphBuilderTest, RejectsInvalidLogs) {
   EXPECT_FALSE(BuildGraphFromLogs({}, {}, opt).ok());  // empty nodes
 }
 
-// --- SegmentedCsr (node-partitioned base for incremental compaction) --------
+// --- Segments (node-partitioned rows for incremental compaction) -----------
 
 /// A graph wide enough to span several 4-row segments, with deterministic
 /// structure: users 0..3, queries 4..7, items 8..15, edges wired so every
@@ -434,69 +521,97 @@ HeteroGraph MakeWideGraph() {
   return b.Build();
 }
 
-TEST(SegmentedCsrTest, PartitionMatchesSourceRowForRow) {
-  HeteroGraph g = MakeWideGraph();
-  SegmentedCsr seg(g, /*span=*/4);
-  EXPECT_EQ(seg.num_nodes(), g.num_nodes());
-  EXPECT_EQ(seg.num_edges(), g.num_edges());
-  EXPECT_EQ(seg.content_dim(), g.content_dim());
-  EXPECT_EQ(seg.num_segments(), 4);
-  EXPECT_EQ(seg.segment_span(), 4);
-  for (int t = 0; t < kNumNodeTypes; ++t) {
-    EXPECT_EQ(seg.num_nodes_of_type(static_cast<NodeType>(t)),
-              g.num_nodes_of_type(static_cast<NodeType>(t)));
-  }
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(seg.node_type(v), g.node_type(v));
-    EXPECT_EQ(seg.degree(v), g.degree(v));
-    for (int d = 0; d < g.content_dim(); ++d) {
-      EXPECT_FLOAT_EQ(seg.content(v)[d], g.content(v)[d]);
-    }
-    ASSERT_EQ(seg.slots(v).size(), g.slots(v).size());
-    for (size_t i = 0; i < g.slots(v).size(); ++i) {
-      EXPECT_EQ(seg.slots(v)[i], g.slots(v)[i]);
-    }
-    auto sids = seg.neighbor_ids(v);
-    auto gids = g.neighbor_ids(v);
-    ASSERT_EQ(sids.size(), gids.size());
-    for (size_t i = 0; i < gids.size(); ++i) {
-      EXPECT_EQ(sids[i], gids[i]);
-      EXPECT_FLOAT_EQ(seg.neighbor_weights(v)[i], g.neighbor_weights(v)[i]);
-      EXPECT_EQ(seg.neighbor_kinds(v)[i], g.neighbor_kinds(v)[i]);
-    }
+TEST(SegmentTest, BuildUsesAutoSpanAndCopiesShareSegments) {
+  EXPECT_EQ(HeteroGraph::AutoSegmentSpan(0), 64);
+  EXPECT_EQ(HeteroGraph::AutoSegmentSpan(1039), 64);
+  EXPECT_EQ(HeteroGraph::AutoSegmentSpan(1040), 128);
+  EXPECT_EQ(HeteroGraph::AutoSegmentSpan(100000), 8192);
+
+  const HeteroGraph g = MakeWideGraph();
+  EXPECT_EQ(g.segment_span(), 64);
+  ASSERT_EQ(g.num_segments(), 1);
+  EXPECT_EQ(g.segment(0).generation(), 1u);
+  EXPECT_EQ(g.segment(0).folded_epoch(), 0u);
+  const HeteroGraph copy = g;
+  EXPECT_EQ(copy.segment_ptr(0), g.segment_ptr(0));
+  EXPECT_EQ(g.Repartitioned(64).segment_ptr(0), g.segment_ptr(0));
+  EXPECT_NE(g.Repartitioned(4).segment_ptr(0), g.segment_ptr(0));
+
+  const HeteroGraph empty;
+  EXPECT_EQ(empty.num_nodes(), 0);
+  EXPECT_EQ(empty.num_segments(), 0);
+  EXPECT_EQ(empty.segment_span(), HeteroGraph::AutoSegmentSpan(0));
+}
+
+TEST(SegmentTest, RepartitionMatchesSourceRowForRow) {
+  const HeteroGraph g = MakeWideGraph();
+  for (const int64_t span : {4, 8}) {
+    const HeteroGraph seg = g.Repartitioned(span);
+    EXPECT_EQ(seg.num_nodes(), g.num_nodes());
+    EXPECT_EQ(seg.num_edges(), g.num_edges());
+    EXPECT_EQ(seg.content_dim(), g.content_dim());
+    EXPECT_EQ(seg.num_segments(), 16 / span);
+    EXPECT_EQ(seg.segment_span(), span);
     for (int t = 0; t < kNumNodeTypes; ++t) {
-      auto styped = seg.NeighborsOfType(v, static_cast<NodeType>(t));
-      auto gtyped = g.NeighborsOfType(v, static_cast<NodeType>(t));
-      ASSERT_EQ(styped.size(), gtyped.size());
-      for (size_t i = 0; i < gtyped.size(); ++i) {
-        EXPECT_EQ(styped[i], gtyped[i]);
+      EXPECT_EQ(seg.num_nodes_of_type(static_cast<NodeType>(t)),
+                g.num_nodes_of_type(static_cast<NodeType>(t)));
+    }
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      EXPECT_EQ(seg.node_type(v), g.node_type(v));
+      EXPECT_EQ(seg.degree(v), g.degree(v));
+      for (int d = 0; d < g.content_dim(); ++d) {
+        EXPECT_FLOAT_EQ(seg.content(v)[d], g.content(v)[d]);
+      }
+      ASSERT_EQ(seg.slots(v).size(), g.slots(v).size());
+      for (size_t i = 0; i < g.slots(v).size(); ++i) {
+        EXPECT_EQ(seg.slots(v)[i], g.slots(v)[i]);
+      }
+      auto sids = seg.neighbor_ids(v);
+      auto gids = g.neighbor_ids(v);
+      ASSERT_EQ(sids.size(), gids.size());
+      for (size_t i = 0; i < gids.size(); ++i) {
+        EXPECT_EQ(sids[i], gids[i]);
+        EXPECT_FLOAT_EQ(seg.neighbor_weights(v)[i], g.neighbor_weights(v)[i]);
+        EXPECT_EQ(seg.neighbor_kinds(v)[i], g.neighbor_kinds(v)[i]);
+      }
+      for (int t = 0; t < kNumNodeTypes; ++t) {
+        auto styped = seg.NeighborsOfType(v, static_cast<NodeType>(t));
+        auto gtyped = g.NeighborsOfType(v, static_cast<NodeType>(t));
+        ASSERT_EQ(styped.size(), gtyped.size());
+        for (size_t i = 0; i < gtyped.size(); ++i) {
+          EXPECT_EQ(styped[i], gtyped[i]);
+        }
       }
     }
   }
 }
 
-TEST(SegmentedCsrTest, TypedCsrBlockAlignsParallelSpans) {
-  HeteroGraph g = MakeWideGraph();
-  SegmentedCsr seg(g, 4);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (int t = 0; t < kNumNodeTypes; ++t) {
-      const NeighborBlock sb = TypedCsrBlock(seg, v, static_cast<NodeType>(t));
-      const NeighborBlock gb = TypedCsrBlock(g, v, static_cast<NodeType>(t));
-      ASSERT_EQ(sb.size(), gb.size());
-      for (int64_t i = 0; i < gb.size(); ++i) {
-        EXPECT_EQ(sb.ids[i], gb.ids[i]);
-        EXPECT_FLOAT_EQ(sb.weights[i], gb.weights[i]);
-        EXPECT_EQ(sb.kinds[i], gb.kinds[i]);
+TEST(SegmentTest, TypedCsrBlockAlignsParallelSpans) {
+  const HeteroGraph g = MakeWideGraph();
+  for (const int64_t span : {4, 8}) {
+    const HeteroGraph seg = g.Repartitioned(span);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      for (int t = 0; t < kNumNodeTypes; ++t) {
+        const NeighborBlock sb =
+            TypedCsrBlock(seg, v, static_cast<NodeType>(t));
+        const NeighborBlock gb = TypedCsrBlock(g, v, static_cast<NodeType>(t));
+        ASSERT_EQ(sb.size(), gb.size());
+        for (int64_t i = 0; i < gb.size(); ++i) {
+          EXPECT_EQ(sb.ids[i], gb.ids[i]);
+          EXPECT_FLOAT_EQ(sb.weights[i], gb.weights[i]);
+          EXPECT_EQ(sb.kinds[i], gb.kinds[i]);
+          EXPECT_EQ(g.node_type(gb.ids[i]), static_cast<NodeType>(t));
+        }
       }
     }
   }
 }
 
-TEST(SegmentedCsrTest, SamplingMatchesMonolithicDistribution) {
-  HeteroGraph g = MakeWideGraph();
-  SegmentedCsr seg(g, 4);
-  // Query 4's weighted item distribution through the segment alias tables
-  // must match the exact weights (same guarantee the monolithic CSR gives).
+TEST(SegmentTest, RepartitionedSamplingMatchesExactWeights) {
+  const HeteroGraph g = MakeWideGraph();
+  const HeteroGraph seg = g.Repartitioned(4);
+  // Query 4's weighted item distribution through the copied alias tables
+  // must match the exact weights.
   const NodeId q = 4;
   std::map<NodeId, double> want;
   double total = 0.0;
@@ -513,9 +628,9 @@ TEST(SegmentedCsrTest, SamplingMatchesMonolithicDistribution) {
   }
 }
 
-TEST(SegmentedCsrTest, SuccessorSharesUntouchedSegments) {
-  HeteroGraph g = MakeWideGraph();
-  auto base = std::make_shared<const SegmentedCsr>(g, 4, /*generation=*/1);
+TEST(SegmentTest, SuccessorSharesUntouchedSegments) {
+  const HeteroGraph g = MakeWideGraph();
+  auto base = std::make_shared<const HeteroGraph>(g.Repartitioned(4));
   // Rebuild segment 1 (rows 4..7) with one extra edge on row 4.
   CsrSegmentBuilder builder(4, 4, g.content_dim(), /*generation=*/2,
                             [&g](NodeId id) { return g.node_type(id); });
@@ -527,8 +642,7 @@ TEST(SegmentedCsrTest, SuccessorSharesUntouchedSegments) {
                       g.neighbor_kinds(r)[i]});
     }
     if (r == 4) nbrs.push_back({15, 9.0f, RelationKind::kSimilarity});
-    builder.AddRow(g.node_type(r), {g.content(r), 2u}, g.slots(r),
-                   std::move(nbrs));
+    builder.AddRow(g.node_type(r), {g.content(r), 2u}, g.slots(r), nbrs);
   }
   auto next = base->Successor({{1, builder.Build()}});
 
@@ -549,12 +663,20 @@ TEST(SegmentedCsrTest, SuccessorSharesUntouchedSegments) {
   EXPECT_EQ(base->num_edges() + 1, next->num_edges());
   auto old_span = base->neighbor_ids(4);
   EXPECT_EQ(old_span.size(), static_cast<size_t>(base->degree(4)));
+
+  // A folded segment is not an offline one: repartitioning at the same
+  // span rebuilds it at generation 1 and shares the rest.
+  const HeteroGraph again = next->Repartitioned(4);
+  EXPECT_EQ(again.segment_ptr(0), base->segment_ptr(0));
+  EXPECT_NE(again.segment_ptr(1), next->segment_ptr(1));
+  EXPECT_EQ(again.segment_generation(1), 1u);
+  EXPECT_EQ(again.degree(4), next->degree(4));
 }
 
-TEST(SegmentedCsrViewTest, GraphViewParityWithCsrGraphView) {
-  HeteroGraph g = MakeWideGraph();
-  SegmentedCsr seg(g, 4);
-  SegmentedCsrView sv(seg);
+TEST(SegmentTest, GraphViewParityAcrossSpans) {
+  const HeteroGraph g = MakeWideGraph();
+  const HeteroGraph seg = g.Repartitioned(4);
+  CsrGraphView sv(seg);
   CsrGraphView cv(g);
   NeighborScratch s1, s2;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -576,28 +698,31 @@ TEST(SegmentedCsrViewTest, GraphViewParityWithCsrGraphView) {
 
 // --- Batched sampling (SampleManyNeighbors) ----------------------------------
 
-TEST(SampleManyNeighborsTest, MatchesSingleDrawLoopOnBothStaticViews) {
-  HeteroGraph g = MakeWideGraph();
-  SegmentedCsr seg(g, 4);
-  CsrGraphView cv(g);
-  SegmentedCsrView sv(seg);
+TEST(SampleManyNeighborsTest, MatchesSingleDrawLoopAcrossSpans) {
+  const HeteroGraph g = MakeWideGraph();
+  const HeteroGraph seg4 = g.Repartitioned(4);
+  const HeteroGraph seg8 = g.Repartitioned(8);
   std::vector<NodeId> nodes;
   for (NodeId v = 0; v < g.num_nodes(); ++v) nodes.push_back(v);
   const int k = 7;
-  for (const GraphView* view : {static_cast<const GraphView*>(&cv),
-                                static_cast<const GraphView*>(&sv)}) {
+  std::vector<NodeId> first;
+  for (const HeteroGraph* graph : {&g, &seg4, &seg8}) {
+    const CsrGraphView view(graph);
     // Contract: identical seed => the batch is bit-identical to the loop.
     Rng batched(41), looped(41);
     std::vector<NodeId> got;
-    view->SampleManyNeighbors({nodes.data(), nodes.size()}, k, &batched, &got);
+    view.SampleManyNeighbors({nodes.data(), nodes.size()}, k, &batched, &got);
     ASSERT_EQ(got.size(), nodes.size() * k);
     for (size_t i = 0; i < nodes.size(); ++i) {
       for (int j = 0; j < k; ++j) {
-        EXPECT_EQ(got[i * k + j], view->SampleNeighbor(nodes[i], &looped))
+        EXPECT_EQ(got[i * k + j], view.SampleNeighbor(nodes[i], &looped))
             << "node " << nodes[i] << " draw " << j;
       }
     }
     EXPECT_EQ(batched.NextUint64(), looped.NextUint64());
+    // Every span draws the same sequence.
+    if (first.empty()) first = got;
+    EXPECT_EQ(got, first);
   }
 }
 

@@ -3,8 +3,12 @@
 // the full production pipeline of paper Sec. VI in one process.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "core/trainer.h"
 #include "core/zoomer_model.h"
@@ -69,6 +73,40 @@ TEST(GraphIoTest, LoadRejectsMissingAndCorruptFiles) {
   auto result = graph::LoadGraph(path);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+
+  // A well-formed file whose one edge weight is NaN or +inf is rejected
+  // with a Status, not an abort inside the alias-table build.
+  const float marker = 1234.5f;
+  graph::HeteroGraphBuilder b(1);
+  b.AddNode(graph::NodeType::kUser, {0.0f}, {});
+  b.AddNode(graph::NodeType::kItem, {0.0f}, {});
+  ASSERT_TRUE(b.AddEdge(0, 1, graph::RelationKind::kClick, marker).ok());
+  ASSERT_TRUE(graph::SaveGraph(b.Build(), path).ok());
+  std::vector<char> bytes;
+  {
+    std::FILE* in = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(in, nullptr);
+    char buf[4096];
+    size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
+      bytes.insert(bytes.end(), buf, buf + n);
+    }
+    std::fclose(in);
+  }
+  const char* m = reinterpret_cast<const char*>(&marker);
+  const auto at = std::search(bytes.begin(), bytes.end(), m, m + sizeof(float));
+  ASSERT_NE(at, bytes.end());
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    std::memcpy(&*at, &bad, sizeof(float));
+    std::FILE* out = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    std::fwrite(bytes.data(), 1, bytes.size(), out);
+    std::fclose(out);
+    auto loaded = graph::LoadGraph(path);
+    EXPECT_FALSE(loaded.ok()) << "weight " << bad;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
   std::remove(path.c_str());
 }
 
