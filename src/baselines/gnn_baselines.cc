@@ -12,21 +12,6 @@ using graph::kNumNodeTypes;
 using graph::NodeId;
 using tensor::Tensor;
 
-namespace {
-
-Tensor StackRows(const std::vector<Tensor>& rows) {
-  ZCHECK(!rows.empty());
-  Tensor out = rows[0];
-  for (size_t i = 1; i < rows.size(); ++i) out = ConcatRows(out, rows[i]);
-  return out;
-}
-
-Tensor SoftmaxColumn(const Tensor& col) {
-  return Transpose(SoftmaxRows(Transpose(col)));
-}
-
-}  // namespace
-
 GnnBaselineConfig GnnBaselineConfig::GraphSage(int hidden_dim, int k,
                                                uint64_t seed) {
   GnnBaselineConfig c;

@@ -13,21 +13,6 @@ using graph::NodeId;
 using graph::NodeType;
 using tensor::Tensor;
 
-namespace {
-
-Tensor StackRows(const std::vector<Tensor>& rows) {
-  ZCHECK(!rows.empty());
-  Tensor out = rows[0];
-  for (size_t i = 1; i < rows.size(); ++i) out = ConcatRows(out, rows[i]);
-  return out;
-}
-
-Tensor SoftmaxColumn(const Tensor& col) {
-  return Transpose(SoftmaxRows(Transpose(col)));
-}
-
-}  // namespace
-
 SessionBaselineModel::SessionBaselineModel(const graph::HeteroGraph* g,
                                            const SessionBaselineConfig& config)
     : graph_(g), config_(config), init_rng_(config.seed) {

@@ -1,7 +1,7 @@
 // Single-process training/evaluation loop for ZoomerModel and the metrics
 // reported in the paper's offline experiments (AUC, MAE, RMSE, HitRate@K).
-// The distributed worker/PS pipeline lives in src/ps; this trainer is the
-// reference implementation used by most benches.
+// This single-process trainer is the reference implementation used by most
+// benches; the repository has no distributed training path.
 #ifndef ZOOMER_CORE_TRAINER_H_
 #define ZOOMER_CORE_TRAINER_H_
 

@@ -14,28 +14,6 @@ using graph::NodeId;
 using graph::NodeType;
 using tensor::Tensor;
 
-namespace {
-
-// Column sum of a (n x d) matrix -> (1 x d), via ones(1,n) · M.
-Tensor ColSum(const Tensor& m) {
-  return MatMul(Tensor::Full(1, m.rows(), 1.0f), m);
-}
-
-// Stacks k (1 x d) rows into a (k x d) matrix.
-Tensor StackRows(const std::vector<Tensor>& rows) {
-  ZCHECK(!rows.empty());
-  Tensor out = rows[0];
-  for (size_t i = 1; i < rows.size(); ++i) out = ConcatRows(out, rows[i]);
-  return out;
-}
-
-// Softmax over the rows of a (k x 1) column vector.
-Tensor SoftmaxColumn(const Tensor& col) {
-  return Transpose(SoftmaxRows(Transpose(col)));
-}
-
-}  // namespace
-
 std::string ZoomerConfig::VariantName() const {
   if (!use_feature_projection && !use_edge_attention && !use_semantic_attention)
     return "GCN";
@@ -60,7 +38,7 @@ SlotEmbeddings::SlotEmbeddings(const HeteroGraph& g, int dim, Rng* rng)
   }
   for (int t = 0; t < kNumNodeTypes; ++t) {
     for (int64_t v : vocab[t]) {
-      tables_[t].emplace_back(v, dim, rng);
+      tables_[t].push_back(tensor::Embedding(v, dim, rng).table());
     }
   }
 }
@@ -69,18 +47,13 @@ Tensor SlotEmbeddings::Lookup(const graph::GraphView& g, NodeId node) const {
   const int t = static_cast<int>(g.node_type(node));
   auto s = g.slots(node);
   ZCHECK_EQ(s.size(), tables_[t].size());
-  std::vector<Tensor> rows;
-  rows.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    rows.push_back(tables_[t][i].Lookup({s[i]}));
-  }
-  return StackRows(rows);
+  return GatherRows(tables_[t], s);  // row i from slot i's table
 }
 
 std::vector<Tensor> SlotEmbeddings::Parameters() const {
   std::vector<Tensor> out;
   for (const auto& per_type : tables_) {
-    for (const auto& e : per_type) out.push_back(e.table());
+    out.insert(out.end(), per_type.begin(), per_type.end());
   }
   return out;
 }

@@ -79,8 +79,8 @@ class SlotEmbeddings {
 
  private:
   int dim_ = 0;
-  // tables_[type][slot]
-  std::array<std::vector<tensor::Embedding>, graph::kNumNodeTypes> tables_;
+  // tables_[type][slot]: (vocab x dim) embedding tables.
+  std::array<std::vector<tensor::Tensor>, graph::kNumNodeTypes> tables_;
 };
 
 /// Edge-attention weight attached to one ROI child (for interpretability).

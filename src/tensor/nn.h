@@ -56,7 +56,7 @@ class Mlp {
 
 /// Dense trainable embedding table (vocab x dim). Lookup gathers rows with a
 /// scatter-add gradient, matching sparse training semantics at small scale.
-/// The parameter-server variant (src/ps) provides the sharded/sparse path.
+/// There is no sharded or sparse variant; every model trains in process.
 class Embedding {
  public:
   Embedding() = default;

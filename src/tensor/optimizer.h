@@ -1,6 +1,6 @@
-// First-order optimizers over a parameter list. The distributed variant with
-// per-key sparse state lives in src/ps/embedding_table.h; these dense
-// optimizers drive single-process training.
+// First-order optimizers over a parameter list. These dense optimizers drive
+// all training, which is single-process; there is no per-key sparse
+// variant.
 #ifndef ZOOMER_TENSOR_OPTIMIZER_H_
 #define ZOOMER_TENSOR_OPTIMIZER_H_
 

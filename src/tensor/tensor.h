@@ -3,18 +3,43 @@
 // This is the numerical substrate for every learned model in the repository
 // (the Zoomer multi-level attention networks and all GNN baselines). The
 // design mirrors a minimal PyTorch: a Tensor is a shared handle to a
-// TensorImpl holding data, an optional gradient buffer, parent links, and a
-// backward closure. Calling Backward() on a scalar tensor runs reverse-mode
-// differentiation over the dynamically recorded graph.
+// TensorImpl holding data, a gradient buffer, parent links, and a backward
+// function. Calling Backward() on a scalar tensor runs reverse-mode
+// differentiation over the dynamically recorded graph (the tape).
 //
 // All tensors are row-major (rows x cols). Scalars are 1x1.
+//
+// Tape contract:
+// - Traversal order is gradient-accumulation order. Backward() visits the
+//   op outputs reachable from the loss in reverse postorder of a
+//   depth-first walk over `parents` (in parent order), and each node adds
+//   into its parents' grad buffers when visited. Float addition does not
+//   associate, so that order fixes every gradient bit; changing it changes
+//   the trained weights.
+// - Grads are eager for leaves and lazy for op outputs. The factories
+//   (Zeros, Full, Randn, Xavier, FromVector, Scalar) allocate a zeroed grad
+//   when requires_grad, so grad_at on an untouched parameter reads 0. An op
+//   output allocates its grad on the first accumulation into it; one that
+//   Backward never reaches holds none and is skipped.
+// - Leaves (tensors without a backward function, i.e. parameters and
+//   constants) are never marked or pushed during traversal; only their grad
+//   buffers are written, by their consumers' backward functions.
+// - A fused op (StackRows, SoftmaxColumn, ColSum, GatherRows) must stay
+//   bit-identical, in forward values and in input gradients, to the
+//   composite of primitive ops it replaces. Where the composite rounds an
+//   intermediate before adding it to a parent's grad, the fused op
+//   materializes the same intermediate, so floating-point contraction
+//   cannot merge the product into the accumulation. Where the composite
+//   reduces products (a dot), the fused op calls the composite's compiled
+//   kernel: whether the compiler contracts a reduction depends on the loop
+//   around it. tensor_test compares each fused op with its composite.
 #ifndef ZOOMER_TENSOR_TENSOR_H_
 #define ZOOMER_TENSOR_TENSOR_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,15 +67,35 @@ class AllocationTracker {
   static std::atomic<int64_t> allocated_floats_;
 };
 
+struct TensorImpl;
+
+/// Propagates self.grad into the grad buffers of self.parents, reading any
+/// op state stored in self.
+using BackwardFn = void (*)(TensorImpl& self);
+
 struct TensorImpl {
   int64_t rows = 0;
   int64_t cols = 0;
   std::vector<float> data;
-  std::vector<float> grad;  // non-empty iff requires_grad
+  // Eager for leaves that require grad, lazy (empty until the first
+  // accumulation) for op outputs.
+  std::vector<float> grad;
   bool requires_grad = false;
+  // Last Backward() call that reached this node (op outputs only).
+  uint64_t visit_mark = 0;
+  // The only owners of the inputs' history; drained iteratively on
+  // destruction so a long op chain does not recurse.
   std::vector<std::shared_ptr<TensorImpl>> parents;
-  // Propagates this->grad into parents' grad buffers.
-  std::function<void(TensorImpl&)> backward_fn;
+  // Null for leaves.
+  BackwardFn backward_fn = nullptr;
+  // Op state read by backward_fn: a scalar constant (scale, slope, eps,
+  // gamma), per-row floats saved by the forward pass (norms, labels) and
+  // gather indices.
+  float op_scalar = 0.0f;
+  std::vector<float> saved;
+  std::vector<int64_t> index;
+
+  ~TensorImpl();
 
   int64_t size() const { return rows * cols; }
   void EnsureGrad() {
@@ -122,7 +167,8 @@ class Tensor {
   }
 
   /// Reverse-mode backprop from this scalar tensor: seeds d(self)/d(self)=1
-  /// and propagates through the recorded graph in reverse topological order.
+  /// and propagates through the recorded graph in reverse topological order
+  /// (see the tape contract at the top of this file).
   void Backward();
 
   /// Detached copy sharing no autograd history (fresh storage).
@@ -138,7 +184,8 @@ class Tensor {
 
 // ---------------------------------------------------------------------------
 // Differentiable operators. Every op returns a fresh tensor whose backward_fn
-// scatters gradients into its parents. Ops requiring shape agreement ZCHECK.
+// scatters gradients into its parents (StackRows of one part returns that
+// part). Ops requiring shape agreement ZCHECK.
 // ---------------------------------------------------------------------------
 
 /// C = A · B. A: (n,k), B: (k,m).
@@ -191,6 +238,22 @@ Tensor RowwiseCosine(const Tensor& a, const Tensor& b, float eps = 1e-8f);
 Tensor NormalizeRows(const Tensor& a, float eps = 1e-8f);
 /// Repeats a (1,cols) row vector n times -> (n,cols).
 Tensor TileRows(const Tensor& a, int64_t n);
+
+// Fused ops: one tape node each, bit-identical to the composite named.
+
+/// Vertical stack of equal-width parts -> (sum of rows, cols). Composite:
+/// a left-to-right ConcatRows chain. One part is returned as is.
+Tensor StackRows(const std::vector<Tensor>& parts);
+/// Softmax down each column -> same shape. Composite:
+/// Transpose(SoftmaxRows(Transpose(a))).
+Tensor SoftmaxColumn(const Tensor& a);
+/// Column sum of (n,cols) -> (1,cols). Composite:
+/// MatMul(Tensor::Full(1, n, 1.0f), a).
+Tensor ColSum(const Tensor& a);
+/// Row r of the result is row idx[r] of tables[r] -> (idx.size(), cols).
+/// Composite: a ConcatRows chain over Rows(tables[r], {idx[r]}).
+Tensor GatherRows(const std::vector<Tensor>& tables,
+                  std::span<const int64_t> idx);
 
 /// Numerically stable mean binary cross-entropy with logits:
 /// mean over rows of log(1+exp(x)) - y*x. logits,labels: (n,1).

@@ -3,7 +3,9 @@
 // optimizer convergence tests and a small end-to-end learning test.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -240,6 +242,21 @@ INSTANTIATE_TEST_SUITE_P(
                [](const Tensor& x) { return RowwiseCosine(x, FixedMat(3, 4, 12)); }},
         OpCase{"NormalizeRows", [](const Tensor& x) { return NormalizeRows(x); }},
         OpCase{"TileRows", [](const Tensor& x) { return TileRows(x, 5); }, 1, 4},
+        OpCase{"StackRowsMiddle",
+               [](const Tensor& x) {
+                 return StackRows({FixedMat(2, 4, 21), x, FixedMat(1, 4, 22)});
+               }},
+        OpCase{"StackRowsRepeated",
+               [](const Tensor& x) { return StackRows({x, x, Tanh(x)}); }},
+        OpCase{"SoftmaxColumn", [](const Tensor& x) { return SoftmaxColumn(x); }, 5, 1},
+        OpCase{"SoftmaxColumnWide",
+               [](const Tensor& x) { return SoftmaxColumn(x); }, 4, 3},
+        OpCase{"ColSum", [](const Tensor& x) { return ColSum(x); }},
+        OpCase{"GatherRows",
+               [](const Tensor& x) {
+                 const std::vector<int64_t> idx = {2, 1, 2, 0};
+                 return GatherRows({x, FixedMat(3, 4, 23), x, x}, idx);
+               }},
         OpCase{"SquaredNorm", [](const Tensor& x) { return SquaredNorm(x); }},
         OpCase{"BceWithLogits",
                [](const Tensor& x) {
@@ -254,6 +271,165 @@ INSTANTIATE_TEST_SUITE_P(
                },
                3, 1}),
     [](const ::testing::TestParamInfo<OpCase>& info) { return info.param.name; });
+
+// --- Fused ops are bit-identical to the composites they replace ------------
+//
+// Each fused op is run beside its composite in this binary, on the same
+// inputs, and compared as float bits: the forward values and the gradients
+// of the inputs. Each comparison runs twice: with the inputs' grads starting
+// at zero, so a low-bit difference in the op's own contribution shows, and
+// starting from the same nonzero values, so a different accumulation order
+// shows.
+
+using ListOp = std::function<Tensor(const std::vector<Tensor>&)>;
+
+struct BitsRun {
+  std::vector<uint32_t> out;
+  std::vector<std::vector<uint32_t>> grads;  // one per input
+};
+
+std::vector<uint32_t> Bits(const float* v, int64_t n) {
+  std::vector<uint32_t> bits(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) bits[i] = std::bit_cast<uint32_t>(v[i]);
+  return bits;
+}
+
+// Runs loss = sum(w ⊙ f(inputs)) on fresh leaf copies of `inputs`, whose
+// grads start at seed * (a fixed ramp), and returns f's output and the
+// inputs' gradients as bits.
+BitsRun RunBits(const ListOp& f, const std::vector<Tensor>& inputs,
+                float seed) {
+  std::vector<Tensor> leaves;
+  for (size_t k = 0; k < inputs.size(); ++k) {
+    const Tensor& in = inputs[k];
+    std::vector<float> values(in.data(), in.data() + in.size());
+    leaves.push_back(Tensor::FromVector(values, in.rows(), in.cols(),
+                                        /*requires_grad=*/true));
+    float* g = leaves.back().grad_data();
+    for (int64_t i = 0; i < in.size(); ++i) {
+      g[i] = seed * static_cast<float>(i + 1) / static_cast<float>(k + 3);
+    }
+  }
+  Tensor y = f(leaves);
+  Rng rng(31);
+  Tensor w = Tensor::Randn(y.rows(), y.cols(), &rng, 1.0f);
+  SumAll(Mul(y, w)).Backward();
+  BitsRun run;
+  run.out = Bits(y.data(), y.size());
+  for (Tensor& leaf : leaves) {
+    run.grads.push_back(Bits(leaf.grad_data(), leaf.size()));
+  }
+  return run;
+}
+
+void ExpectSameBits(const ListOp& fused, const ListOp& composite,
+                    const std::vector<Tensor>& inputs) {
+  for (const float seed : {0.0f, 0.37f}) {
+    const BitsRun a = RunBits(fused, inputs, seed);
+    const BitsRun b = RunBits(composite, inputs, seed);
+    EXPECT_EQ(a.out, b.out) << "forward values differ";
+    ASSERT_EQ(a.grads.size(), b.grads.size());
+    for (size_t k = 0; k < a.grads.size(); ++k) {
+      EXPECT_EQ(a.grads[k], b.grads[k])
+          << "gradient of input " << k << " differs (grad seed " << seed
+          << ")";
+    }
+  }
+}
+
+Tensor ConcatRowsChain(const std::vector<Tensor>& parts) {
+  Tensor out = parts[0];
+  for (size_t i = 1; i < parts.size(); ++i) out = ConcatRows(out, parts[i]);
+  return out;
+}
+
+TEST(FusedOpBitsTest, StackRowsMatchesConcatRowsChain) {
+  const std::vector<Tensor> in = {FixedMat(2, 5, 41), FixedMat(1, 5, 42),
+                                  FixedMat(3, 5, 43), FixedMat(1, 5, 44)};
+  ExpectSameBits(StackRows, ConcatRowsChain, in);
+  // Parts that feed the stack through ops, with one tensor stacked three
+  // times: the order its slices arrive in must match the chain's.
+  auto repeated = [](const ListOp& stack) -> ListOp {
+    return [stack](const std::vector<Tensor>& x) {
+      Tensor t = Tanh(x[0]);
+      return stack({t, Exp(x[1]), t, x[0], t});
+    };
+  };
+  ExpectSameBits(repeated(StackRows), repeated(ConcatRowsChain),
+                 {FixedMat(2, 5, 45), FixedMat(2, 5, 46)});
+}
+
+TEST(FusedOpBitsTest, SoftmaxColumnMatchesTransposedSoftmaxRows) {
+  for (const auto& [rows, cols] : std::vector<std::pair<int64_t, int64_t>>{
+           {7, 1}, {16, 1}, {33, 1}, {5, 3}, {12, 2}, {1, 4}}) {
+    ExpectSameBits(
+        [](const std::vector<Tensor>& x) { return SoftmaxColumn(x[0]); },
+        [](const std::vector<Tensor>& x) {
+          return Transpose(SoftmaxRows(Transpose(x[0])));
+        },
+        {FixedMat(rows, cols, 50 + rows)});
+  }
+}
+
+TEST(FusedOpBitsTest, ColSumMatchesMatMulByOnes) {
+  ExpectSameBits(
+      [](const std::vector<Tensor>& x) { return ColSum(x[0]); },
+      [](const std::vector<Tensor>& x) {
+        return MatMul(Tensor::Full(1, x[0].rows(), 1.0f), x[0]);
+      },
+      {FixedMat(6, 4, 60)});
+}
+
+TEST(FusedOpBitsTest, GatherRowsMatchesStackedRows) {
+  // Tables 0 and 1 are each read twice, table 0 twice at the same row.
+  const std::vector<int64_t> idx = {3, 1, 3, 0, 2};
+  const std::vector<size_t> table_of = {0, 1, 0, 2, 1};
+  ExpectSameBits(
+      [&](const std::vector<Tensor>& x) {
+        std::vector<Tensor> tables;
+        for (size_t t : table_of) tables.push_back(x[t]);
+        return GatherRows(tables, idx);
+      },
+      [&](const std::vector<Tensor>& x) {
+        std::vector<Tensor> rows;
+        for (size_t r = 0; r < idx.size(); ++r) {
+          rows.push_back(Rows(x[table_of[r]], {idx[r]}));
+        }
+        return ConcatRowsChain(rows);
+      },
+      {FixedMat(4, 3, 70), FixedMat(3, 3, 71), FixedMat(5, 3, 72)});
+}
+
+// --- Tape bookkeeping -------------------------------------------------------
+
+TEST(TapeTest, GradsAreLazyForOpOutputsAndEagerForLeaves) {
+  Tensor w = RandInput(2, 3, 80);
+  Tensor untouched = Tensor::Zeros(2, 3, /*requires_grad=*/true);
+  Tensor h = Tanh(w);
+  Tensor off_path = Exp(w);  // never reached from the loss
+  Tensor loss = SumAll(h);
+  EXPECT_TRUE(h.grad_vector().empty());
+  loss.Backward();
+  EXPECT_EQ(h.grad_vector().size(), 6u);
+  EXPECT_TRUE(off_path.grad_vector().empty());
+  for (int64_t i = 0; i < 2; ++i) {
+    for (int64_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(untouched.grad_at(i, j), 0.0f);
+      EXPECT_NE(w.grad_at(i, j), 0.0f);
+    }
+  }
+}
+
+TEST(TapeTest, LongChainBackwardAndTeardownDoNotRecurse) {
+  // One stack frame per node would overflow an 8 MB stack well before this.
+  Tensor x = Tensor::Scalar(0.5f, /*requires_grad=*/true);
+  {
+    Tensor y = x;
+    for (int i = 0; i < 300000; ++i) y = AddScalar(y, 1.0f);
+    y.Backward();
+  }  // the whole chain is released here
+  EXPECT_EQ(x.grad_at(0, 0), 1.0f);
+}
 
 // --- Loss semantics ---------------------------------------------------------
 
