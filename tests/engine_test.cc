@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -164,6 +165,96 @@ TEST(DistributedGraphEngineTest, SampleManyMatchesSingleRequests) {
         << "node " << reqs[i].node;
   }
   EXPECT_GT(eng.Stats().total_requests, 60);
+}
+
+// Word-wise FNV-1a over engine responses: status, neighbor ids, weight bits.
+uint64_t HashResponses(const std::vector<StatusOr<engine::SampleResponse>>& rs) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+  for (const auto& r : rs) {
+    if (!r.ok()) {
+      mix(~0ull);
+      continue;
+    }
+    mix(r.value().neighbors.size());
+    for (graph::NodeId nb : r.value().neighbors) mix(static_cast<uint64_t>(nb));
+    for (float w : r.value().weights) {
+      uint32_t bits = 0;
+      std::memcpy(&bits, &w, sizeof(bits));
+      mix(bits);
+    }
+  }
+  return h;
+}
+
+TEST(DistributedGraphEngineTest, ResponsesPinnedAtFixedSeed) {
+  // Fixed-seed response hashes for the three ways a request is served: a
+  // replica that has applied nothing (base rows), a replica after ingest
+  // (delta rows), and the primary fallback. The constants were captured
+  // before the engine's static and streaming read paths became one.
+  const graph::HeteroGraph& g = Dataset().graph;
+  std::vector<engine::SampleRequest> reqs;
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    reqs.push_back({v, 1 + static_cast<int>(v % 7),
+                    5 + static_cast<uint64_t>(v) * 977, 0});
+  }
+  // The log and the primary must outlive the engine's appliers.
+  streaming::GraphDeltaLog log(1);
+  streaming::DynamicHeteroGraph primary(&g);
+  obs::MetricsRegistry reg;
+  engine::EngineOptions opt;
+  opt.num_shards = 3;
+  opt.replication_factor = 2;
+  opt.freshness_wait_micros = 0;
+  opt.registry = &reg;
+  engine::DistributedGraphEngine eng(&g, opt);
+  const uint64_t base_hash = HashResponses(eng.SampleMany(reqs));
+  EXPECT_EQ(base_hash, 0x8939407ee6721d81ull);
+  std::vector<StatusOr<engine::SampleResponse>> singles;
+  for (const auto& req : reqs) singles.push_back(eng.Sample(req));
+  EXPECT_EQ(HashResponses(singles), base_hash);
+
+  eng.ConnectUpdateFanout(&log, &primary);
+  Rng rng(5);
+  for (int b = 0; b < 20; ++b) {
+    streaming::DeltaBatch batch;
+    for (int e = 0; e < 40; ++e) {
+      const graph::NodeId src = rng.UniformInt(0, g.num_nodes() - 1);
+      const graph::NodeId dst = rng.UniformInt(0, g.num_nodes() - 1);
+      const float w = 0.25f * static_cast<float>(rng.UniformInt(1, 8));
+      if (src != dst) {
+        batch.events.push_back({src, dst, graph::RelationKind::kClick, w, 0});
+      }
+    }
+    batch.epoch = log.Append(0, batch.events, [&](uint64_t epoch) {
+      primary.NoteEpochIssued(epoch);
+    });
+    ASSERT_TRUE(primary.ApplyBatch(batch).ok());
+    eng.PublishDelta(0, batch.epoch, /*all_shards=*/true);
+  }
+  for (int s = 0; s < opt.num_shards; ++s) {
+    for (int r = 0; r < opt.replication_factor; ++r) {
+      ASSERT_TRUE(eng.AwaitReplicaCatchUp(s, r, 5'000'000));
+    }
+  }
+  const auto snap = primary.MakeSnapshot();
+  int64_t delta_rows = 0;
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    delta_rows += snap.DeltaDegree(v) > 0;
+  }
+  EXPECT_GT(delta_rows, g.num_nodes() / 2);
+  const uint64_t replica_hash = HashResponses(eng.SampleMany(reqs));
+  EXPECT_NE(replica_hash, base_hash);
+  EXPECT_EQ(replica_hash, 0x829d82d45d365ce9ull);
+  EXPECT_EQ(eng.Stats().stale_fallback_reads, 0);
+
+  // A floor no replica can meet: served off the primary, which holds the
+  // same rows as each replica for the nodes that replica owns.
+  for (auto& req : reqs) req.min_epoch = primary.watermark_epoch() + 1;
+  const uint64_t fallback_hash = HashResponses(eng.SampleMany(reqs));
+  EXPECT_GT(eng.Stats().stale_fallback_reads, 0);
+  EXPECT_EQ(fallback_hash, replica_hash);
+  EXPECT_EQ(fallback_hash, 0x829d82d45d365ce9ull);
 }
 
 TEST(DistributedGraphEngineTest, ReplicationSpreadsLoad) {

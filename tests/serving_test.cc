@@ -208,6 +208,62 @@ TEST(NeighborCacheTest, WarmAllFillsEverything) {
   for (auto n : nodes) EXPECT_TRUE(cache.Get(n, &out));
 }
 
+TEST(NeighborCacheTest, TopKPinnedAtFixedSeed) {
+  // Fixed-seed top-k hashes over every node, for the static graph and for an
+  // attached delta overlay (whole-list WarmAll and per-node Warm agree). The
+  // constants were captured before the cache's static and streaming top-k
+  // became one function.
+  const graph::HeteroGraph& g = Dataset().graph;
+  std::vector<graph::NodeId> all;
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) all.push_back(v);
+  obs::MetricsRegistry reg;
+  NeighborCacheOptions opt;
+  opt.k = 4;
+  opt.registry = &reg;
+  auto hash_entries = [&](NeighborCache& cache) {
+    uint64_t h = 0xcbf29ce484222325ull;
+    std::vector<graph::NodeId> out;
+    for (graph::NodeId v : all) {
+      EXPECT_TRUE(cache.Get(v, &out)) << "node " << v;
+      h = (h ^ out.size()) * 0x100000001b3ull;
+      for (graph::NodeId nb : out) {
+        h = (h ^ static_cast<uint64_t>(nb)) * 0x100000001b3ull;
+      }
+    }
+    return h;
+  };
+  NeighborCache static_cache(&g, opt);
+  static_cache.WarmAll(all);
+  const uint64_t static_hash = hash_entries(static_cache);
+  EXPECT_EQ(static_hash, 0xc53558520840da10ull);
+
+  streaming::DynamicHeteroGraph dyn(&g);
+  Rng rng(5);
+  for (uint64_t epoch = 1; epoch <= 20; ++epoch) {
+    streaming::DeltaBatch batch;
+    batch.epoch = epoch;
+    for (int e = 0; e < 40; ++e) {
+      const graph::NodeId src = rng.UniformInt(0, g.num_nodes() - 1);
+      const graph::NodeId dst = rng.UniformInt(0, g.num_nodes() - 1);
+      const float w = 0.25f * static_cast<float>(rng.UniformInt(1, 8));
+      if (src != dst) {
+        batch.events.push_back({src, dst, graph::RelationKind::kClick, w, 0});
+      }
+    }
+    ASSERT_TRUE(dyn.ApplyBatch(batch).ok());
+  }
+  NeighborCache warm_all(&g, opt);
+  warm_all.AttachDynamicGraph(&dyn);
+  warm_all.WarmAll(all);
+  const uint64_t dynamic_hash = hash_entries(warm_all);
+  EXPECT_NE(dynamic_hash, static_hash);
+  EXPECT_EQ(dynamic_hash, 0xc6eb8758caf13496ull);
+  NeighborCache warm_each(&g, opt);
+  warm_each.AttachDynamicGraph(&dyn);
+  for (graph::NodeId v : all) warm_each.Warm(v);
+  EXPECT_EQ(hash_entries(warm_each), dynamic_hash);
+}
+
 // --- OnlineServer ------------------------------------------------------------------
 
 std::unique_ptr<OnlineServer> MakeServer(const data::RetrievalDataset& ds,
