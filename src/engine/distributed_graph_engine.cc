@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <thread>
 
 #include "common/logging.h"
-#include "graph/graph_view.h"
 #include "obs/metrics.h"
+#include "streaming/dynamic_graph_view.h"
 #include "streaming/dynamic_hetero_graph.h"
 #include "streaming/graph_delta_log.h"
 
@@ -17,14 +18,17 @@ using graph::NodeId;
 
 namespace {
 
-/// Distinct weighted draws via the alias table (constant-time per draw);
-/// the shared GraphView helper provides the bounded-retry dedup the
-/// production engine's draw-with-dedup uses. Both the static path and the
-/// streaming path's untouched base rows read through a CsrGraphView — over
-/// the offline graph or over a snapshot's pinned base, which shares its
-/// segments.
-SampleResponse SampleFromCsr(const graph::GraphView& g,
-                             const SampleRequest& req) {
+/// Up to k distinct weighted draws with the bounded-retry dedup of
+/// GraphView::SampleDistinctNeighbors, each paired with its (coalesced)
+/// edge weight. Untouched base rows draw through the alias table and delta
+/// rows through the snapshot's two-level resampling; both consume the Rng
+/// the same way on a base row, so a replica that has applied nothing serves
+/// exactly what the offline CSR would.
+StatusOr<SampleResponse> SampleFromView(const graph::GraphView& g,
+                                        const SampleRequest& req) {
+  if (req.node < 0 || req.node >= g.num_nodes()) {
+    return Status::InvalidArgument("node id out of range");
+  }
   SampleResponse resp;
   if (g.degree(req.node) == 0) return resp;
   Rng rng(req.rng_seed);
@@ -78,90 +82,15 @@ GraphShard::GraphShard(const graph::HeteroGraph* g, int shard_id,
   }
 }
 
-StatusOr<SampleResponse> GraphShard::Sample(const SampleRequest& req) const {
-  return SampleFrom(req, dynamic_.load(std::memory_order_acquire));
-}
-
-namespace {
-
-/// Streaming-path draw off an already-pinned epoch snapshot: freshly
-/// ingested edges (and nodes born online) are sampleable shard-side. The
-/// snapshot's base is also the compaction-current CSR, so untouched nodes
-/// stay on the cheap alias path without materializing a merged list.
-/// Factored out of SampleFrom so SampleManyFrom serves a whole batch under
-/// one snapshot pin.
-StatusOr<SampleResponse> SampleFromSnapshot(
-    const streaming::DynamicHeteroGraph::Snapshot& snap,
-    const SampleRequest& req) {
-  if (req.node >= snap.num_nodes()) {
-    return Status::InvalidArgument("node id out of range");
-  }
-  if (snap.DeltaDegree(req.node) == 0) {
-    if (!snap.InBase(req.node)) return SampleResponse{};  // isolated
-    return SampleFromCsr(graph::CsrGraphView(snap.base()), req);
-  }
-  std::vector<graph::NeighborEntry> merged;
-  snap.Neighbors(req.node, &merged);
-  SampleResponse resp;
-  Rng rng(req.rng_seed);
-  for (NodeId nb : snap.SampleDistinctNeighbors(req.node, req.k, &rng)) {
-    resp.neighbors.push_back(nb);
-    float w = 0.0f;
-    for (const auto& entry : merged) {
-      if (entry.neighbor == nb) {
-        w = entry.weight;
-        break;
-      }
-    }
-    resp.weights.push_back(w);
-  }
-  return resp;
-}
-
-}  // namespace
-
-StatusOr<SampleResponse> GraphShard::SampleFrom(
-    const SampleRequest& req,
-    const streaming::DynamicHeteroGraph* view) const {
-  if (req.node < 0) {
-    return Status::InvalidArgument("node id out of range");
-  }
-  if (!Owns(req.node)) {
-    return Status::FailedPrecondition("node not owned by this shard");
-  }
-  if (view != nullptr) {
-    auto snap = view->MakeSnapshot();
-    return SampleFromSnapshot(snap, req);
-  }
-  if (req.node >= graph_->num_nodes()) {
-    return Status::InvalidArgument("node id out of range");
-  }
-  return SampleFromCsr(graph::CsrGraphView(*graph_), req);
-}
-
 std::vector<StatusOr<SampleResponse>> GraphShard::SampleMany(
-    std::span<const SampleRequest> reqs) const {
-  return SampleManyFrom(reqs, dynamic_.load(std::memory_order_acquire));
-}
-
-std::vector<StatusOr<SampleResponse>> GraphShard::SampleManyFrom(
-    std::span<const SampleRequest> reqs,
-    const streaming::DynamicHeteroGraph* view) const {
+    const graph::GraphView& view, std::span<const SampleRequest> reqs) const {
   std::vector<StatusOr<SampleResponse>> out;
   out.reserve(reqs.size());
-  if (view == nullptr) {
-    for (const SampleRequest& req : reqs) out.push_back(SampleFrom(req, nullptr));
-    return out;
-  }
-  // One epoch snapshot (base pin + hot-cache reader pin) for the batch.
-  const auto snap = view->MakeSnapshot();
   for (const SampleRequest& req : reqs) {
-    if (req.node < 0) {
-      out.push_back(Status::InvalidArgument("node id out of range"));
-    } else if (!Owns(req.node)) {
+    if (req.node >= 0 && !Owns(req.node)) {
       out.push_back(Status::FailedPrecondition("node not owned by this shard"));
     } else {
-      out.push_back(SampleFromSnapshot(snap, req));
+      out.push_back(SampleFromView(view, req));
     }
   }
   return out;
@@ -179,7 +108,7 @@ size_t GraphShard::MemoryBytes() const {
 
 DistributedGraphEngine::DistributedGraphEngine(const graph::HeteroGraph* g,
                                                EngineOptions options)
-    : graph_(g), options_(options) {
+    : options_(options) {
   ZCHECK_GT(options_.num_shards, 0);
   ZCHECK_GT(options_.replication_factor, 0);
   registry_ = options_.registry != nullptr ? options_.registry
@@ -208,6 +137,9 @@ DistributedGraphEngine::DistributedGraphEngine(const graph::HeteroGraph* g,
     for (int r = 0; r < options_.replication_factor; ++r) {
       auto rep = std::make_unique<Replica>();
       rep->shard = std::make_unique<GraphShard>(g, s, options_.num_shards);
+      // Adopts the base's segments (no row copies); the replica serves the
+      // base rows until ConnectUpdateFanout starts its applier.
+      rep->dyn = std::make_unique<streaming::DynamicHeteroGraph>(g);
       rep->worker = std::make_unique<ThreadPool>(1);
       rep->shard_id = s;
       rep->replica_id = r;
@@ -266,12 +198,8 @@ void DistributedGraphEngine::ConnectUpdateFanout(
     buses_.push_back(std::make_unique<ShardBus>());
   }
   for (auto& rep : replicas_) {
-    // Every replica builds its own delta view over the shared immutable
-    // base (adopting its segments, not copying rows) and replays the log
-    // independently; its registered consumer cursor pins the log tail it
-    // has not applied yet (survives kills).
-    rep->dyn = std::make_unique<streaming::DynamicHeteroGraph>(graph_);
-    rep->shard->AttachDynamicGraph(rep->dyn.get());
+    // Every replica replays the log independently; its registered consumer
+    // cursor pins the log tail it has not applied yet (survives kills).
     rep->log_consumer = log_->RegisterConsumer(0);
     Replica* raw = rep.get();
     rep->applier = std::thread([this, raw] { ApplierLoop(raw); });
@@ -411,7 +339,7 @@ uint64_t DistributedGraphEngine::ReplicaWatermark(int shard, int r) const {
 
 const streaming::DynamicHeteroGraph* DistributedGraphEngine::ReplicaGraph(
     int shard, int r) const {
-  return replica(shard, r)->dyn.get();
+  return buses_.empty() ? nullptr : replica(shard, r)->dyn.get();
 }
 
 bool DistributedGraphEngine::AwaitReplicaCatchUp(int shard, int r,
@@ -429,22 +357,11 @@ bool DistributedGraphEngine::AwaitReplicaCatchUp(int shard, int r,
 }
 
 DistributedGraphEngine::RoutedTarget DistributedGraphEngine::RouteToReplica(
-    int shard, uint64_t min_epoch) {
+    int shard, uint64_t floor) {
   const int rf = options_.replication_factor;
   const bool fanout = !buses_.empty();
   const streaming::DynamicHeteroGraph* primary =
       primary_.load(std::memory_order_acquire);
-
-  // Freshness floor: the caller's read-your-writes epoch, raised by the
-  // engine-wide staleness bound when configured (a replica trailing the
-  // primary by more than the bound never serves).
-  uint64_t floor = min_epoch;
-  if (fanout && options_.freshness_bound_epochs > 0 && primary != nullptr) {
-    const uint64_t pw = primary->watermark_epoch();
-    if (pw > options_.freshness_bound_epochs) {
-      floor = std::max(floor, pw - options_.freshness_bound_epochs);
-    }
-  }
 
   auto pick = [&](bool check_floor) -> Replica* {
     Replica* best = nullptr;
@@ -491,66 +408,9 @@ DistributedGraphEngine::RoutedTarget DistributedGraphEngine::RouteToReplica(
   return target;
 }
 
-std::future<StatusOr<SampleResponse>> DistributedGraphEngine::SampleAsync(
-    const SampleRequest& req) {
-  const int shard = GraphShard::NodeShard(req.node, options_.num_shards);
-  const streaming::DynamicHeteroGraph* primary =
-      primary_.load(std::memory_order_acquire);
-  const RoutedTarget target = RouteToReplica(shard, req.min_epoch);
-  Replica* rep = target.rep;
-  const bool use_primary = target.use_primary;
-  if (rep == nullptr) {
-    // The whole replica group is dead — fail fast instead of queueing on a
-    // worker that cannot serve.
-    std::promise<StatusOr<SampleResponse>> broken;
-    broken.set_value(
-        Status::Unavailable("all replicas of the owning shard are dead"));
-    return broken.get_future();
-  }
-
-  rep->requests.fetch_add(1, std::memory_order_relaxed);
-  rep->inflight.fetch_add(1, std::memory_order_relaxed);
-  rep->queue_gauge.Set(
-      static_cast<double>(rep->inflight.load(std::memory_order_relaxed)));
-  sample_requests_->Add(1);
-  const int rpc_micros = options_.simulated_rpc_micros;
-  const int64_t submit_us = obs::MonotonicMicros();
-  obs::Histogram* service_hist = sample_latency_us_;
-  obs::Histogram* request_hist = request_latency_us_;
-  obs::Counter* killed = &killed_inflight_failures_;
-  return rep->worker->Submit([rep, req, rpc_micros, use_primary, primary,
-                              submit_us, service_hist, request_hist, killed] {
-    // The simulated network+serialization delay runs on the worker thread
-    // *before* the service-time window opens: it contributes queueing
-    // pressure (load), while engine.sample_latency_us stays a pure
-    // service-time reading and engine.request_latency_us captures the
-    // client-observed total (queue + rpc + service).
-    if (rpc_micros > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(rpc_micros));
-    }
-    StatusOr<SampleResponse> result = [&]() -> StatusOr<SampleResponse> {
-      if (!rep->alive.load(std::memory_order_acquire)) {
-        // Killed after routing but before service — the detection window.
-        killed->Add(1);
-        return Status::Unavailable("replica killed while request in flight");
-      }
-      const int64_t start_us = obs::MonotonicMicros();
-      auto r = use_primary ? rep->shard->SampleFrom(req, primary)
-                           : rep->shard->Sample(req);
-      service_hist->Record(obs::MonotonicMicros() - start_us);
-      return r;
-    }();
-    request_hist->Record(obs::MonotonicMicros() - submit_us);
-    rep->inflight.fetch_sub(1, std::memory_order_relaxed);
-    rep->queue_gauge.Set(
-        static_cast<double>(rep->inflight.load(std::memory_order_relaxed)));
-    return result;
-  });
-}
-
 StatusOr<SampleResponse> DistributedGraphEngine::Sample(
     const SampleRequest& req) {
-  return SampleAsync(req).get();
+  return std::move(SampleMany({&req, 1})[0]);
 }
 
 std::vector<StatusOr<SampleResponse>> DistributedGraphEngine::SampleMany(
@@ -608,6 +468,11 @@ std::vector<StatusOr<SampleResponse>> DistributedGraphEngine::SampleMany(
                                            use_primary, primary, submit_us,
                                            service_hist, request_hist, killed,
                                            &out] {
+      // The simulated network+serialization delay runs on the worker thread
+      // *before* the service-time window opens: it contributes queueing
+      // pressure (load), while engine.sample_latency_us stays a pure
+      // service-time reading and engine.request_latency_us captures the
+      // client-observed total (queue + rpc + service).
       if (rpc_micros > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(rpc_micros));
       }
@@ -618,9 +483,10 @@ std::vector<StatusOr<SampleResponse>> DistributedGraphEngine::SampleMany(
         }
       } else {
         const int64_t start_us = obs::MonotonicMicros();
-        auto results = use_primary
-                           ? rep->shard->SampleManyFrom(*batch, primary)
-                           : rep->shard->SampleMany(*batch);
+        // One epoch snapshot (base pin + hot-cache reader pin) per batch.
+        const streaming::DynamicGraphView view(use_primary ? primary
+                                                           : rep->dyn.get());
+        auto results = rep->shard->SampleMany(view, *batch);
         service_hist->Record(obs::MonotonicMicros() - start_us);
         for (size_t j = 0; j < idx.size(); ++j) {
           out[idx[j]] = std::move(results[j]);

@@ -9,14 +9,18 @@
 // advances an explicit per-replica apply watermark (exported as
 // "engine.replica_watermark_lag" gauges).
 //
-// Routing picks the least-loaded *alive* replica of the owning shard,
-// subject to a freshness bound: a request may carry a min_epoch floor
-// (read-your-writes — a session's reads pin to replicas whose watermark
-// covers its own writes), and EngineOptions::freshness_bound_epochs caps
-// how far any chosen replica may trail the primary. When no alive replica
-// qualifies within a bounded wait, the request is served off the primary
-// graph (a counted stale-fallback) so freshness floors are honored even
-// mid-recovery.
+// There is one read path. Every replica's DynamicHeteroGraph exists from
+// construction (a replica that has applied nothing serves the base rows),
+// and a worker serves each batch from one epoch snapshot of it through the
+// graph::GraphView interface the ROI sampler uses. A single request is a
+// batch of one.
+//
+// Routing picks the least-loaded *alive* replica of the owning shard. A
+// request may carry a min_epoch floor (read-your-writes — a session's reads
+// pin to replicas whose watermark covers its own writes). When no alive
+// replica qualifies within a bounded wait, the request is served off the
+// primary graph (a counted stale-fallback) so freshness floors are honored
+// even mid-recovery.
 //
 // Failure injection: KillReplica parks a replica's applier and removes it
 // from routing (serving degrades to the surviving replicas); its frozen log
@@ -28,7 +32,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -40,6 +43,7 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/threadpool.h"
+#include "graph/graph_view.h"
 #include "graph/hetero_graph.h"
 #include "obs/metrics.h"
 
@@ -63,11 +67,6 @@ struct EngineOptions {
   /// "engine.request_latency_us" measures submit -> completion (queueing +
   /// simulated RPC + service).
   int simulated_rpc_micros = 0;
-  /// Freshness bound for routing (epochs; replica-group mode only): a
-  /// replica qualifies for a request only if its apply watermark trails the
-  /// primary's by at most this many epochs. 0 = load-only routing (any
-  /// alive replica qualifies, unless the request carries min_epoch).
-  uint64_t freshness_bound_epochs = 0;
   /// Bounded wait (microseconds) for some alive replica to satisfy a
   /// request's freshness floor before falling back to serving the request
   /// off the primary graph (counted in "engine.stale_fallback_reads").
@@ -84,8 +83,8 @@ struct SampleRequest {
   /// Read-your-writes floor: route only to replicas whose apply watermark
   /// covers this epoch (0 = no constraint). Stamp it with the delta-log
   /// epoch of the session's own last write (the ingest pipeline's update
-  /// listener reports it). Before ConnectUpdateFanout every replica serves
-  /// the static graph, so the floor is trivially met.
+  /// listener reports it). Before ConnectUpdateFanout no write can reach a
+  /// replica, so the floor is ignored.
   uint64_t min_epoch = 0;
 };
 
@@ -144,40 +143,19 @@ class GraphShard {
     return static_cast<int>(h % static_cast<uint64_t>(num_shards));
   }
 
-  /// Weighted neighbor sample (alias table) of up to k distinct neighbors.
-  /// With a dynamic view attached, draws come from an epoch snapshot over
-  /// base + streaming deltas instead of the static CSR.
-  StatusOr<SampleResponse> Sample(const SampleRequest& req) const;
-
-  /// Samples from an explicit dynamic view (the engine's primary-fallback
-  /// path); nullptr falls back to the static CSR.
-  StatusOr<SampleResponse> SampleFrom(
-      const SampleRequest& req,
-      const streaming::DynamicHeteroGraph* view) const;
-
-  /// Batched sampling: one response per request, in order. With a dynamic
-  /// view attached, the whole batch draws under ONE epoch snapshot (one
-  /// base pin + one hot-cache reader pin) instead of one MakeSnapshot per
-  /// request — the per-replica worker's batch amortization.
+  /// Weighted sample of up to k distinct neighbors (with their edge
+  /// weights) per request, one response per request in order, all drawn
+  /// from `view`. The engine passes one epoch snapshot of a replica's (or
+  /// the primary's) graph per batch. A foreign or out-of-range node fails
+  /// only its own slot.
   std::vector<StatusOr<SampleResponse>> SampleMany(
-      std::span<const SampleRequest> reqs) const;
-  std::vector<StatusOr<SampleResponse>> SampleManyFrom(
-      std::span<const SampleRequest> reqs,
-      const streaming::DynamicHeteroGraph* view) const;
-
-  /// Serve reads through the streaming delta overlay (nullptr restores
-  /// static-CSR sampling). The view must outlive this shard. Safe to call
-  /// while Sample traffic is in flight (atomic publish).
-  void AttachDynamicGraph(const streaming::DynamicHeteroGraph* dynamic) {
-    dynamic_.store(dynamic, std::memory_order_release);
-  }
+      const graph::GraphView& view, std::span<const SampleRequest> reqs) const;
 
   int64_t num_owned_nodes() const { return owned_.size(); }
   size_t MemoryBytes() const;
 
  private:
   const graph::HeteroGraph* graph_;
-  std::atomic<const streaming::DynamicHeteroGraph*> dynamic_{nullptr};
   int shard_id_;
   int num_shards_;
   std::vector<graph::NodeId> owned_;
@@ -191,31 +169,27 @@ class DistributedGraphEngine {
   DistributedGraphEngine(const graph::HeteroGraph* g, EngineOptions options);
   ~DistributedGraphEngine();
 
-  /// Asynchronous sampling RPC; the future resolves on the replica thread.
-  /// May block the caller up to freshness_wait_micros while routing when no
-  /// alive replica currently satisfies the request's freshness floor.
-  std::future<StatusOr<SampleResponse>> SampleAsync(const SampleRequest& req);
-
-  /// Blocking convenience wrapper.
+  /// One request: a batch of one through SampleMany.
   StatusOr<SampleResponse> Sample(const SampleRequest& req);
 
   /// Batched sampling: responses in request order. Requests are grouped by
   /// owning shard; each group routes once (floor = the group's max
   /// min_epoch) and runs as ONE task on the chosen replica's worker, which
   /// serves the whole group under one epoch snapshot (GraphShard::
-  /// SampleMany). Records engine.sample_batch_size per shard-group.
+  /// SampleMany). Records engine.sample_batch_size per shard-group. May
+  /// block the caller up to freshness_wait_micros while routing when no
+  /// alive replica satisfies a group's freshness floor.
   std::vector<StatusOr<SampleResponse>> SampleMany(
       std::span<const SampleRequest> reqs);
 
   EngineStats Stats() const;
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
 
-  /// Replica-group mode: gives every replica its own DynamicHeteroGraph
-  /// over the engine's base graph plus an apply thread consuming `log`
-  /// through a registered per-replica cursor, bounded by `primary`'s
-  /// watermark (the ingest pipeline's graph). Call once, before ingest
-  /// starts and before sampling traffic; `log` and `primary` must outlive
-  /// this engine.
+  /// Connects the replicas to the update stream: gives every replica an
+  /// apply thread consuming `log` through a registered per-replica cursor,
+  /// bounded by `primary`'s watermark (the ingest pipeline's graph). Call
+  /// once, before ingest starts and before sampling traffic; `log` and
+  /// `primary` must outlive this engine.
   void ConnectUpdateFanout(streaming::GraphDeltaLog* log,
                            const streaming::DynamicHeteroGraph* primary);
 
@@ -242,10 +216,11 @@ class DistributedGraphEngine {
 
   bool IsReplicaAlive(int shard, int replica) const;
 
-  /// Epochs the replica has applied through (0 outside replica-group mode).
+  /// Epochs the replica has applied through (0 before ConnectUpdateFanout).
   uint64_t ReplicaWatermark(int shard, int replica) const;
 
-  /// The replica's delta view (null before ConnectUpdateFanout).
+  /// The replica's delta view once it is connected to the update stream
+  /// (null before ConnectUpdateFanout).
   const streaming::DynamicHeteroGraph* ReplicaGraph(int shard,
                                                     int replica) const;
 
@@ -268,8 +243,9 @@ class DistributedGraphEngine {
     std::atomic<int64_t> requests{0};
     std::atomic<int64_t> inflight{0};
     std::atomic<bool> alive{true};
-    // Replica-group (fanout) state; unset before ConnectUpdateFanout.
+    /// The replica's graph: the shared base plus the deltas it applied.
     std::unique_ptr<streaming::DynamicHeteroGraph> dyn;
+    // Update-stream state; unset before ConnectUpdateFanout.
     std::thread applier;                 // joined by the engine dtor
     std::atomic<uint64_t> watermark{0};  // epochs applied through
     int log_consumer = -1;               // GraphDeltaLog consumer id
@@ -316,16 +292,15 @@ class DistributedGraphEngine {
     bool use_primary = false;
   };
 
-  /// Shared routing core behind SampleAsync and SampleMany: least-inflight
-  /// alive replica of `shard` satisfying the freshness floor, with the
-  /// bounded wait and primary fallback documented on SampleAsync.
-  RoutedTarget RouteToReplica(int shard, uint64_t min_epoch);
+  /// Routing core of SampleMany: least-inflight alive replica of `shard`
+  /// satisfying the freshness floor, with the bounded wait and primary
+  /// fallback documented at the top of this file.
+  RoutedTarget RouteToReplica(int shard, uint64_t floor);
 
   void ApplierLoop(Replica* rep);
   void RefreshReplicaGauges(Replica* rep) const;
   void SetDeadGauge();
 
-  const graph::HeteroGraph* graph_;
   EngineOptions options_;
   obs::MetricsRegistry* registry_;  // resolved (never null)
   /// Registry-owned throughput instruments (resolved once at construction;
@@ -344,7 +319,7 @@ class DistributedGraphEngine {
   std::vector<std::unique_ptr<Replica>> replicas_;  // shard-major layout
   std::unique_ptr<PaddedCounter[]> shard_update_events_;  // num_shards slots
 
-  // Replica-group mode wiring (null until ConnectUpdateFanout).
+  // Update-stream wiring (null until ConnectUpdateFanout).
   streaming::GraphDeltaLog* log_ = nullptr;
   std::atomic<const streaming::DynamicHeteroGraph*> primary_{nullptr};
   std::vector<std::unique_ptr<ShardBus>> buses_;  // one per shard

@@ -1,9 +1,7 @@
 #include "obs/exporter.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace zoomer {
@@ -23,14 +21,6 @@ std::string FormatNumber(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
-}
-
-std::string Sanitize(const std::string& name) {
-  std::string out = "zoomer_";
-  for (char c : name) {
-    out.push_back(std::isalnum(static_cast<unsigned char>(c)) ? c : '_');
-  }
-  return out;
 }
 
 }  // namespace
@@ -71,50 +61,6 @@ std::string MetricsExporter::JsonLine() const {
   });
   os << "}";
   return os.str();
-}
-
-std::string MetricsExporter::PrometheusText() const {
-  const RegistrySnapshot snap = registry_->Snapshot();
-  std::ostringstream os;
-  for (const MetricPoint& p : snap.points) {
-    const std::string name = Sanitize(p.name);
-    switch (p.kind) {
-      case MetricKind::kCounter:
-        os << "# TYPE " << name << " counter\n"
-           << name << " " << FormatNumber(p.value) << "\n";
-        break;
-      case MetricKind::kGauge:
-        os << "# TYPE " << name << " gauge\n"
-           << name << " " << FormatNumber(p.value) << "\n";
-        break;
-      case MetricKind::kHistogram:
-        os << "# TYPE " << name << " summary\n";
-        for (const auto& [label, pct] :
-             {std::pair<const char*, double>{"0.5", 50.0},
-              {"0.9", 90.0},
-              {"0.99", 99.0},
-              {"0.999", 99.9}}) {
-          os << name << "{quantile=\"" << label << "\"} "
-             << p.hist.Percentile(pct) << "\n";
-        }
-        os << name << "_sum " << p.hist.sum() << "\n"
-           << name << "_count " << p.hist.count() << "\n";
-        break;
-    }
-  }
-  return os.str();
-}
-
-Status MetricsExporter::AppendJsonLine(const std::string& path) const {
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    return Status::Unavailable("cannot open metrics export file: " + path);
-  }
-  out << JsonLine() << "\n";
-  if (!out) {
-    return Status::Unavailable("short write to metrics export file: " + path);
-  }
-  return Status::OK();
 }
 
 }  // namespace obs

@@ -1,14 +1,12 @@
 // Serializes a MetricsRegistry snapshot for scraping: one flat JSON object
-// per line (append-friendly; bench artifacts and the scheduled export policy
-// both use it) and Prometheus-style text (counters/gauges as samples,
-// histograms as summaries with quantile labels).
+// (OnlineServer::DumpMetrics), and the (key, value) flattening behind it
+// that the bench JSON sinks share.
 #ifndef ZOOMER_OBS_EXPORTER_H_
 #define ZOOMER_OBS_EXPORTER_H_
 
 #include <functional>
 #include <string>
 
-#include "common/status.h"
 #include "obs/metrics.h"
 
 namespace zoomer {
@@ -25,14 +23,6 @@ class MetricsExporter {
   ///    "serving.request_latency_us.p99":456, ...}
   /// Histograms expand to .count/.mean/.p50/.p90/.p99/.p999/.max keys.
   std::string JsonLine() const;
-
-  /// Prometheus text exposition. Metric names are sanitized
-  /// (non-alphanumerics -> '_') and prefixed "zoomer_"; histograms render as
-  /// summaries (quantile-labeled samples plus _sum and _count).
-  std::string PrometheusText() const;
-
-  /// Appends JsonLine() + '\n' to `path` (creating it if needed).
-  Status AppendJsonLine(const std::string& path) const;
 
   /// Flattens a snapshot to (key, value) pairs using the same key scheme as
   /// JsonLine — shared with the bench JSON sink.

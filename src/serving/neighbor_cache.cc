@@ -5,7 +5,7 @@
 #include <thread>
 
 #include "common/timer.h"
-#include "streaming/dynamic_hetero_graph.h"
+#include "streaming/dynamic_graph_view.h"
 
 namespace zoomer {
 namespace serving {
@@ -18,7 +18,7 @@ NeighborCache::NeighborCache(const graph::HeteroGraph* g,
       options_(options),
       registry_(options.registry != nullptr ? options.registry
                                             : obs::MetricsRegistry::Global()),
-      refresher_(std::make_unique<ThreadPool>(options.refresh_threads)) {
+      refresher_(std::make_unique<ThreadPool>(1)) {
   fill_latency_us_ =
       registry_->GetHistogram("serving.neighbor_cache.fill_latency_us");
   auto counter = [this](const std::string& name, const obs::Counter* c) {
@@ -50,55 +50,41 @@ void NeighborCache::AttachDynamicGraph(
 
 namespace {
 
-std::vector<NodeId> KeepTopK(std::vector<std::pair<float, NodeId>>* scored,
-                             size_t k) {
-  const size_t keep = std::min(k, scored->size());
-  std::partial_sort(scored->begin(), scored->begin() + keep, scored->end(),
+/// Highest-weight neighbors (interaction frequency) of `node`, up to k.
+/// Over a dynamic view, freshly ingested clicks compete for the top-k on
+/// accumulated weight like any offline edge. Ids outside the view have no
+/// neighbors: a fill can race a node's birth (an update hook fires before
+/// the pinned snapshot covers the birth epoch), so it stores an empty entry
+/// — the hook that makes the node visible also invalidates it, triggering a
+/// re-fill.
+std::vector<NodeId> TopK(const graph::GraphView& g, NodeId node, size_t k) {
+  if (node < 0 || node >= g.num_nodes()) return {};
+  graph::NeighborScratch scratch;
+  const graph::NeighborBlock block = g.Neighbors(node, &scratch);
+  std::vector<std::pair<float, NodeId>> scored;
+  scored.reserve(block.ids.size());
+  for (int64_t i = 0; i < block.size(); ++i) {
+    scored.emplace_back(block.weights[i], block.ids[i]);
+  }
+  const size_t keep = std::min(k, scored.size());
+  std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
                     std::greater<>());
   std::vector<NodeId> out;
   out.reserve(keep);
-  for (size_t i = 0; i < keep; ++i) out.push_back((*scored)[i].second);
+  for (size_t i = 0; i < keep; ++i) out.push_back(scored[i].second);
   return out;
-}
-
-/// Merged base + delta top-k off an already-pinned snapshot: freshly
-/// ingested clicks compete for the top-k on accumulated weight like any
-/// offline edge. A fill can race a node's birth (an update hook fires
-/// before this snapshot's watermark covers the birth epoch): store an
-/// empty entry — the hook that makes the node visible also invalidates it,
-/// triggering a re-fill.
-std::vector<NodeId> TopKFromSnapshot(
-    const streaming::DynamicHeteroGraph::Snapshot& snap, NodeId node,
-    size_t k) {
-  if (node < 0 || node >= snap.num_nodes()) return {};
-  std::vector<graph::NeighborEntry> merged;
-  snap.Neighbors(node, &merged);
-  std::vector<std::pair<float, NodeId>> scored;
-  scored.reserve(merged.size());
-  for (const auto& e : merged) scored.emplace_back(e.weight, e.neighbor);
-  return KeepTopK(&scored, k);
 }
 
 }  // namespace
 
-std::vector<NodeId> NeighborCache::ComputeTopK(NodeId node) const {
-  // Highest-weight neighbors (interaction frequency) up to k.
-  const streaming::DynamicHeteroGraph* dynamic =
-      dynamic_.load(std::memory_order_acquire);
-  if (dynamic != nullptr) {
-    const auto snap = dynamic->MakeSnapshot();
-    return TopKFromSnapshot(snap, node, static_cast<size_t>(options_.k));
+template <typename Fn>
+void NeighborCache::WithView(Fn&& fn) const {
+  if (const streaming::DynamicHeteroGraph* dynamic =
+          dynamic_.load(std::memory_order_acquire)) {
+    fn(streaming::DynamicGraphView(dynamic));
+  } else {
+    fn(graph::CsrGraphView(*graph_));
   }
-  // Static path: ids past the offline CSR cannot have neighbors.
-  if (node < 0 || node >= graph_->num_nodes()) return {};
-  auto ids = graph_->neighbor_ids(node);
-  auto weights = graph_->neighbor_weights(node);
-  std::vector<std::pair<float, NodeId>> scored;
-  scored.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    scored.emplace_back(weights[i], ids[i]);
-  }
-  return KeepTopK(&scored, static_cast<size_t>(options_.k));
 }
 
 bool NeighborCache::Get(NodeId node, std::vector<NodeId>* out) {
@@ -140,7 +126,10 @@ void NeighborCache::FillTask(NodeId node) {
         std::chrono::microseconds(options_.refresh_delay_micros));
   }
   WallTimer fill_timer;
-  auto topk = ComputeTopK(node);
+  std::vector<NodeId> topk;
+  WithView([&](const graph::GraphView& g) {
+    topk = TopK(g, node, static_cast<size_t>(options_.k));
+  });
   fill_latency_us_->Record(static_cast<int64_t>(fill_timer.ElapsedMicros()));
   bool rerun = false;
   {
@@ -162,34 +151,19 @@ void NeighborCache::FillTask(NodeId node) {
   if (rerun) SubmitFill(node);
 }
 
-void NeighborCache::Warm(NodeId node) {
-  auto topk = ComputeTopK(node);
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    cache_[node] = std::move(topk);
-  }
-  completed_fills_.Add(1);
-}
+void NeighborCache::Warm(NodeId node) { WarmAll({node}); }
 
 void NeighborCache::WarmAll(const std::vector<NodeId>& nodes) {
-  const streaming::DynamicHeteroGraph* dynamic =
-      dynamic_.load(std::memory_order_acquire);
-  if (dynamic == nullptr) {
-    for (NodeId n : nodes) Warm(n);
-    return;
-  }
-  // One epoch pin for the whole warm list: per-node MakeSnapshot() is an
-  // atomic fence plus watermark walk, which dominates bulk pre-warming of
-  // large candidate sets.
-  const auto snap = dynamic->MakeSnapshot();
-  for (NodeId n : nodes) {
-    auto topk = TopKFromSnapshot(snap, n, static_cast<size_t>(options_.k));
-    {
-      std::unique_lock<std::shared_mutex> lock(mu_);
-      cache_[n] = std::move(topk);
+  WithView([&](const graph::GraphView& g) {
+    for (NodeId n : nodes) {
+      auto topk = TopK(g, n, static_cast<size_t>(options_.k));
+      {
+        std::unique_lock<std::shared_mutex> lock(mu_);
+        cache_[n] = std::move(topk);
+      }
+      completed_fills_.Add(1);
     }
-    completed_fills_.Add(1);
-  }
+  });
 }
 
 void NeighborCache::Invalidate(NodeId node) {

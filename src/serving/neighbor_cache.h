@@ -3,10 +3,12 @@
 // query node (k = 30) and refreshes entries fully asynchronously from user
 // requests, decoupling neighbor *sampling* from neighbor *aggregation*.
 //
-// Streaming integration: with a DynamicHeteroGraph attached, fills compute
-// the top-k over base + delta overlays, and Invalidate() drops a stale entry
-// and schedules an asynchronous re-fill — the ingest pipeline's update hooks
-// call this so responses reflect freshly ingested edges.
+// Every fill computes its top-k through the graph::GraphView interface: a
+// CsrGraphView over the offline graph, or, with a DynamicHeteroGraph
+// attached, a DynamicGraphView over base + delta overlays. Invalidate()
+// drops a stale entry and schedules an asynchronous re-fill — the ingest
+// pipeline's update hooks call this so responses reflect freshly ingested
+// edges.
 #ifndef ZOOMER_SERVING_NEIGHBOR_CACHE_H_
 #define ZOOMER_SERVING_NEIGHBOR_CACHE_H_
 
@@ -32,8 +34,6 @@ namespace serving {
 
 struct NeighborCacheOptions {
   int k = 30;  // production value (paper Sec. VII-E)
-  /// Threads performing asynchronous refreshes.
-  int refresh_threads = 1;
   /// Artificial delay before each background fill (microseconds); simulates
   /// refresh cost and widens the async window deterministically in tests.
   int refresh_delay_micros = 0;
@@ -55,21 +55,24 @@ struct NeighborCacheStats {
 /// Read-mostly cache: Get never blocks on graph sampling — a miss returns
 /// false and schedules an asynchronous fill, mirroring the paper's
 /// "cache updating is fully asynchronous from users' timely requests".
-/// Concurrent misses on one node coalesce into a single background fill.
+/// Concurrent misses on one node coalesce into a single background fill,
+/// run by one refresher thread.
 class NeighborCache {
  public:
   NeighborCache(const graph::HeteroGraph* g, NeighborCacheOptions options);
   ~NeighborCache();
 
   /// Serve top-k reads over base + streaming deltas (nullptr restores
-  /// static reads). The view must outlive the cache.
+  /// offline-graph reads). The view must outlive the cache.
   void AttachDynamicGraph(const streaming::DynamicHeteroGraph* dynamic);
 
   /// Returns true and fills `out` on hit; on miss schedules a background
   /// fill (unless one is already pending for this node) and returns false.
   bool Get(graph::NodeId node, std::vector<graph::NodeId>* out);
 
-  /// Synchronous fill (used for warmup before load tests).
+  /// Synchronous fills (used for warmup before load tests). WarmAll reads
+  /// the whole list through one view (one epoch pin when a dynamic graph is
+  /// attached); Warm is a list of one.
   void Warm(graph::NodeId node);
   void WarmAll(const std::vector<graph::NodeId>& nodes);
 
@@ -90,7 +93,11 @@ class NeighborCache {
   NeighborCacheStats Stats() const;
 
  private:
-  std::vector<graph::NodeId> ComputeTopK(graph::NodeId node) const;
+  /// Calls `fn` with the view fills read: a DynamicGraphView pinned now
+  /// when a dynamic graph is attached, else a CsrGraphView of the offline
+  /// graph.
+  template <typename Fn>
+  void WithView(Fn&& fn) const;
   /// Enqueues a background fill unless one is already pending. Caller must
   /// not hold mu_.
   void ScheduleFill(graph::NodeId node);

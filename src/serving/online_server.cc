@@ -271,11 +271,6 @@ std::string OnlineServer::DumpMetrics() const {
   return obs::MetricsExporter(registry_).JsonLine();
 }
 
-std::string OnlineServer::DumpMetricsPrometheus() const {
-  RefreshDerivedGauges();
-  return obs::MetricsExporter(registry_).PrometheusText();
-}
-
 LoadResult RunLoad(OnlineServer* server,
                    const std::vector<ServingRequest>& request_pool,
                    double qps, double duration_seconds, int client_threads,

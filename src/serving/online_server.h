@@ -41,7 +41,6 @@ namespace serving {
 struct OnlineServerOptions {
   int embedding_dim = 16;
   int top_n = 50;           // items retrieved per request
-  int worker_threads = 4;
   NeighborCacheOptions cache;
   AnnIndexOptions ann;
   /// Disable edge attention (mean aggregation) — ablation of the serving
@@ -147,14 +146,12 @@ class OnlineServer {
   /// scheduler must not outlive this server.
   void AttachMaintenance(maintenance::MaintenanceScheduler* scheduler);
 
-  /// Scrape endpoints: one flat JSON object (DumpMetrics) or Prometheus
-  /// text exposition (DumpMetricsPrometheus) over the server's metrics
+  /// Scrape endpoint: one flat JSON object over the server's metrics
   /// registry — per-shard freshness lag, fold-pause histograms, cache hit
   /// ratio, serving latency percentiles, and everything else registered
   /// with it. Derived gauges (cache hit ratio, entry count) refresh on
   /// every call.
   std::string DumpMetrics() const;
-  std::string DumpMetricsPrometheus() const;
 
   const NeighborCache& cache() const { return *cache_; }
   /// Mutable access for tests and warm-up tooling (Get records hit/miss

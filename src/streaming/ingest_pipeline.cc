@@ -83,13 +83,16 @@ void IngestPipeline::RegisterMetrics() {
   counter("streaming.nodes_ingested", &nodes_ingested_);
   counter("streaming.rejected_unknown_node", &rejected_unknown_node_total_);
   counter("streaming.rejected_capacity", &rejected_capacity_total_);
-  registry_->RegisterGauge("streaming.freshness_lag_us", &freshness_lag_max_);
-  registered_.emplace_back("streaming.freshness_lag_us", &freshness_lag_max_);
+  // Each shard's gauge also registers under the aggregate name, which the
+  // registry max-aggregates at snapshot time: no consumer recomputes a
+  // shared max that a concurrent consumer could overwrite with a stale one.
   for (int s = 0; s < options_.num_shards; ++s) {
-    const std::string name =
-        "streaming.freshness_lag_us.shard" + std::to_string(s);
-    registry_->RegisterGauge(name, freshness_lag_[s].get());
-    registered_.emplace_back(name, freshness_lag_[s].get());
+    for (const std::string& name :
+         {"streaming.freshness_lag_us.shard" + std::to_string(s),
+          std::string("streaming.freshness_lag_us")}) {
+      registry_->RegisterGauge(name, freshness_lag_[s].get());
+      registered_.emplace_back(name, freshness_lag_[s].get());
+    }
   }
 }
 
@@ -297,10 +300,6 @@ void IngestPipeline::ConsumerLoop(int shard) {
            queue.TryPop(&qe)) {
       batch.push_back(std::move(qe.ev));
     }
-    // A short batch means TryPop hit an empty queue — the shard is caught
-    // up, so its freshness lag drops to 0 after this apply.
-    const bool queue_drained =
-        static_cast<int>(batch.size()) < options_.batch_size;
     // Quiescence gate: a compaction in progress holds consumers here, with
     // the collected batch intact (it has no epoch yet), until EndQuiesce.
     {
@@ -308,7 +307,7 @@ void IngestPipeline::ConsumerLoop(int shard) {
       quiesce_cv_.wait(lock, [this] { return quiesce_requests_ == 0; });
       ++active_applies_;
     }
-    CutBatch(shard, std::move(batch), oldest_offer_us, queue_drained);
+    CutBatch(shard, std::move(batch), oldest_offer_us);
     {
       std::lock_guard<std::mutex> lock(quiesce_mu_);
       --active_applies_;
@@ -332,7 +331,7 @@ void IngestPipeline::EndQuiesce() {
 }
 
 void IngestPipeline::CutBatch(int shard, std::vector<EdgeEvent> events,
-                              int64_t oldest_offer_us, bool queue_drained) {
+                              int64_t oldest_offer_us) {
   obs::TraceSpan span("ingest_batch");
   const int64_t n = static_cast<int64_t>(events.size());
   span.set_attr(n);
@@ -366,21 +365,19 @@ void IngestPipeline::CutBatch(int shard, std::vector<EdgeEvent> events,
     // are covered by the appliers' poll interval).
     engine_->PublishDelta(shard, batch.epoch);
   }
-  batches_.Add(1);
-  events_applied_.Add(n);
 
   // Freshness telemetry: end-to-end age of the batch's oldest event at
-  // apply completion. A drained queue means the shard is caught up — its
-  // lag gauge reads 0 until the next backlog builds.
+  // apply completion. A queue found empty after the apply (whatever the
+  // batch's size) means the shard is caught up — its lag gauge reads 0
+  // until the next backlog builds. Set before events_applied_, so a Flush()
+  // that returns sees the settled gauge.
   const int64_t lag_us = obs::MonotonicMicros() - oldest_offer_us;
   batch_latency_us_->Record(lag_us);
-  freshness_lag_[shard]->Set(queue_drained ? 0.0
-                                           : static_cast<double>(lag_us));
-  double max_lag = 0.0;
-  for (const auto& gauge : freshness_lag_) {
-    max_lag = std::max(max_lag, gauge->Value());
-  }
-  freshness_lag_max_.Set(max_lag);
+  freshness_lag_[shard]->Set(queues_[shard]->size() == 0
+                                 ? 0.0
+                                 : static_cast<double>(lag_us));
+  batches_.Add(1);
+  events_applied_.Add(n);
 }
 
 void IngestPipeline::Flush() {

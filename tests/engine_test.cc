@@ -13,6 +13,7 @@
 
 #include "data/taobao_generator.h"
 #include "engine/distributed_graph_engine.h"
+#include "graph/graph_view.h"
 #include "obs/metrics.h"
 #include "streaming/dynamic_hetero_graph.h"
 #include "streaming/graph_delta_log.h"
@@ -37,6 +38,13 @@ const data::RetrievalDataset& Dataset() {
 }
 
 // --- GraphShard / DistributedGraphEngine ---------------------------------------
+
+/// One request through a shard's batched call, over the offline graph.
+StatusOr<engine::SampleResponse> ShardSample(const engine::GraphShard& shard,
+                                             const graph::HeteroGraph& g,
+                                             const engine::SampleRequest& req) {
+  return shard.SampleMany(graph::CsrGraphView(g), {&req, 1})[0];
+}
 
 TEST(GraphShardTest, PartitionCoversAllNodesDisjointly) {
   const auto& ds = Dataset();
@@ -74,9 +82,9 @@ TEST(GraphShardTest, RejectsForeignAndInvalidNodes) {
   ASSERT_NE(foreign, -1);
   engine::SampleRequest req;
   req.node = foreign;
-  EXPECT_FALSE(shard.Sample(req).ok());
+  EXPECT_FALSE(ShardSample(shard, ds.graph, req).ok());
   req.node = ds.graph.num_nodes() + 5;
-  EXPECT_FALSE(shard.Sample(req).ok());
+  EXPECT_FALSE(ShardSample(shard, ds.graph, req).ok());
 }
 
 TEST(GraphShardTest, SampleReturnsRealNeighbors) {
@@ -91,7 +99,7 @@ TEST(GraphShardTest, SampleReturnsRealNeighbors) {
     req.node = v;
     req.k = 5;
     req.rng_seed = 9;
-    auto resp = shard.Sample(req);
+    auto resp = ShardSample(shard, ds.graph, req);
     ASSERT_TRUE(resp.ok());
     ASSERT_FALSE(resp.value().neighbors.empty());
     auto ids = ds.graph.neighbor_ids(v);
@@ -113,20 +121,22 @@ TEST(DistributedGraphEngineTest, RoutesAndServesConcurrently) {
   opt.replication_factor = 2;
   engine::DistributedGraphEngine eng(&ds.graph, opt);
   EXPECT_EQ(eng.num_replicas(), 8);
-  std::vector<std::future<StatusOr<engine::SampleResponse>>> futures;
-  for (graph::NodeId v = 0; v < 100; ++v) {
-    engine::SampleRequest req;
-    req.node = v;
-    req.k = 3;
-    req.rng_seed = static_cast<uint64_t>(v);
-    futures.push_back(eng.SampleAsync(req));
+  // Four client threads, 25 blocking requests each.
+  std::atomic<int> ok_count{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&, t] {
+      for (graph::NodeId v = t; v < 100; v += 4) {
+        engine::SampleRequest req;
+        req.node = v;
+        req.k = 3;
+        req.rng_seed = static_cast<uint64_t>(v);
+        if (eng.Sample(req).ok()) ok_count.fetch_add(1);
+      }
+    });
   }
-  int ok_count = 0;
-  for (auto& f : futures) {
-    auto resp = f.get();
-    if (resp.ok()) ++ok_count;
-  }
-  EXPECT_EQ(ok_count, 100);
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(ok_count.load(), 100);
   auto stats = eng.Stats();
   EXPECT_EQ(stats.total_requests, 100);
   EXPECT_EQ(stats.requests_per_replica.size(), 8u);
@@ -159,7 +169,7 @@ TEST(DistributedGraphEngineTest, SampleManyMatchesSingleRequests) {
   EXPECT_FALSE(batched.back().ok());
   for (size_t i = 0; i + 1 < reqs.size(); ++i) {
     ASSERT_TRUE(batched[i].ok()) << batched[i].status().ToString();
-    auto single = eng.SampleAsync(reqs[i]).get();
+    auto single = eng.Sample(reqs[i]);
     ASSERT_TRUE(single.ok());
     EXPECT_EQ(batched[i].value().neighbors, single.value().neighbors)
         << "node " << reqs[i].node;
@@ -264,14 +274,20 @@ TEST(DistributedGraphEngineTest, ReplicationSpreadsLoad) {
   opt.replication_factor = 3;
   opt.simulated_rpc_micros = 100;  // keep replicas busy so routing spreads
   engine::DistributedGraphEngine eng(&ds.graph, opt);
-  std::vector<std::future<StatusOr<engine::SampleResponse>>> futures;
-  for (int i = 0; i < 90; ++i) {
-    engine::SampleRequest req;
-    req.node = i % ds.graph.num_nodes();
-    req.k = 2;
-    futures.push_back(eng.SampleAsync(req));
+  // Nine concurrent clients, 10 blocking requests each: least-inflight
+  // routing must spread them over the three replicas.
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 9; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = t; i < 90; i += 9) {
+        engine::SampleRequest req;
+        req.node = i % ds.graph.num_nodes();
+        req.k = 2;
+        eng.Sample(req);
+      }
+    });
   }
-  for (auto& f : futures) f.get();
+  for (auto& c : clients) c.join();
   auto stats = eng.Stats();
   // Every replica should have served a meaningful share.
   for (int64_t r : stats.requests_per_replica) {

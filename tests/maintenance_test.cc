@@ -24,7 +24,6 @@
 #include "maintenance/compaction_policy.h"
 #include "maintenance/hot_node_cache.h"
 #include "maintenance/maintenance_scheduler.h"
-#include "maintenance/metrics_export_policy.h"
 #include "maintenance/ttl_decay_policy.h"
 #include "obs/metrics.h"
 #include "serving/neighbor_cache.h"
@@ -232,34 +231,6 @@ TEST(MaintenanceSchedulerTest, PassesRecordLatencyAndErrorTelemetry) {
   const obs::MetricPoint* errors = snap.Find("maintenance.pass_errors");
   ASSERT_NE(errors, nullptr);
   EXPECT_EQ(errors->value, 1.0);
-}
-
-// --- MetricsExportPolicy ----------------------------------------------------
-
-TEST(MetricsExportPolicyTest, ScheduledExportEmitsRegistrySnapshots) {
-  obs::MetricsRegistry reg;
-  reg.GetCounter("export.probe")->Add(13);
-  std::vector<std::string> lines;
-  MetricsExportPolicyOptions eopt;
-  eopt.registry = &reg;
-  eopt.sink = [&lines](const std::string& line) { lines.push_back(line); };
-
-  MaintenanceSchedulerOptions sopt;
-  sopt.registry = &reg;
-  MaintenanceScheduler scheduler(sopt);
-  scheduler.AddPolicy(std::make_unique<MetricsExportPolicy>(eopt), {});
-  auto report = scheduler.RunOnceForTest("metrics_export");
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().acted);
-  EXPECT_NE(report.value().detail.find("exported"), std::string::npos);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("\"ts_monotonic_us\":"), std::string::npos);
-  EXPECT_NE(lines[0].find("\"export.probe\":13"), std::string::npos);
-  // The scheduler's own pass telemetry shows up in the next export.
-  ASSERT_TRUE(scheduler.RunOnceForTest("metrics_export").ok());
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[1].find("maintenance.pass_latency_us.metrics_export"),
-            std::string::npos);
 }
 
 // --- CompactionPolicy -------------------------------------------------------

@@ -231,35 +231,6 @@ TEST(ExporterTest, JsonLineRoundTrip) {
   EXPECT_EQ(line.back(), '}');
 }
 
-TEST(ExporterTest, PrometheusTextSanitizesNames) {
-  MetricsRegistry reg;
-  reg.GetCounter("a.b-c")->Add(1);
-  reg.GetHistogram("lat.us")->Record(7);
-  const std::string text = MetricsExporter(&reg).PrometheusText();
-  EXPECT_NE(text.find("zoomer_a_b_c 1"), std::string::npos);
-  EXPECT_NE(text.find("zoomer_lat_us{quantile=\"0.99\"}"), std::string::npos);
-  EXPECT_NE(text.find("zoomer_lat_us_count 1"), std::string::npos);
-}
-
-TEST(ExporterTest, AppendJsonLineWritesFile) {
-  MetricsRegistry reg;
-  reg.GetCounter("file.count")->Add(11);
-  const std::string path = "obs_test_export.jsonl";
-  std::remove(path.c_str());
-  ASSERT_TRUE(MetricsExporter(&reg).AppendJsonLine(path).ok());
-  ASSERT_TRUE(MetricsExporter(&reg).AppendJsonLine(path).ok());
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string content;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_EQ(std::count(content.begin(), content.end(), '\n'), 2);
-  EXPECT_NE(content.find("\"file.count\":11"), std::string::npos);
-}
-
 TEST(ExporterTest, FlattenMatchesJsonKeys) {
   MetricsRegistry reg;
   reg.GetCounter("flat.count")->Add(2);
