@@ -1,8 +1,8 @@
 // Injectable time source for everything that reasons about *event* time —
-// TTL expiry, exponential edge-weight decay, and delta-age compaction
-// triggers in src/maintenance/. Policies never read the wall clock directly:
-// production wires SystemClock, tests wire ManualClock and advance it
-// explicitly, so decay factors and expiry cutoffs are exactly reproducible.
+// the delta-age compaction trigger in src/maintenance/. Policies never read
+// the wall clock directly: production wires SystemClock, tests wire
+// ManualClock and advance it explicitly, so age cutoffs are exactly
+// reproducible.
 // (Scheduling *cadence* — how often a janitor ticks — is real time and stays
 // on std::chrono; only time *semantics* go through this interface.)
 #ifndef ZOOMER_COMMON_CLOCK_H_

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "core/relevance.h"
 
 namespace zoomer {
 namespace core {
@@ -110,8 +111,10 @@ TrainResult ZoomerTrainer::Train(const data::RetrievalDataset& ds,
   return result;
 }
 
-double ZoomerTrainer::TrainUntilAuc(const data::RetrievalDataset& ds,
-                                    double target_auc, int max_epochs) {
+TimeToAucResult ZoomerTrainer::TrainUntilAuc(const data::RetrievalDataset& ds,
+                                             double target_auc,
+                                             int max_epochs) {
+  TimeToAucResult result;
   Rng rng(options_.seed);
   WallTimer timer;
   std::vector<Example> examples = ds.train;
@@ -126,9 +129,15 @@ double ZoomerTrainer::TrainUntilAuc(const data::RetrievalDataset& ds,
     }
     RunEpoch(epoch_examples, &rng);
     const double auc = Evaluate(ds, /*max_examples=*/1500).auc;
-    if (auc >= target_auc) break;
+    ++result.epochs;
+    result.best_auc = std::max(result.best_auc, auc);
+    if (auc >= target_auc) {
+      result.reached = true;
+      break;
+    }
   }
-  return timer.ElapsedSeconds();
+  result.seconds = timer.ElapsedSeconds();
+  return result;
 }
 
 EvalResult ZoomerTrainer::Evaluate(const data::RetrievalDataset& ds,
@@ -172,14 +181,9 @@ void ZoomerTrainer::EvaluateHitRate(const data::RetrievalDataset& ds,
       item_index[ds.all_items[i]] = i;
     }
   }
+  const CosineScorer scorer;
   auto cosine = [&](const std::vector<float>& a, const std::vector<float>& b) {
-    float dot = 0, na = 0, nb = 0;
-    for (int k = 0; k < d; ++k) {
-      dot += a[k] * b[k];
-      na += a[k] * a[k];
-      nb += b[k] * b[k];
-    }
-    return dot / (std::sqrt(na) * std::sqrt(nb) + 1e-9f);
+    return scorer.Score(a.data(), b.data(), d);
   };
 
   std::vector<int> positive_ranks;
@@ -191,7 +195,7 @@ void ZoomerTrainer::EvaluateHitRate(const data::RetrievalDataset& ds,
           model_->UserQueryEmbeddingInference(ex.user, ex.query, &rng);
       const size_t target = item_index[ex.item];
       if (target == SIZE_MAX) continue;
-      const float target_score = cosine(uq, item_emb[target]);
+      const double target_score = cosine(uq, item_emb[target]);
       int rank = 0;
       for (size_t i = 0; i < pool; ++i) {
         if (i == target) continue;

@@ -52,6 +52,14 @@ struct TrainResult {
   uint64_t graph_epoch = 0;
 };
 
+/// Outcome of TrainUntilAuc (Fig. 10 protocol).
+struct TimeToAucResult {
+  double seconds = 0.0;   // wall time until the target or the epoch cap
+  bool reached = false;   // the held-out AUC reached the target
+  double best_auc = 0.0;  // best held-out AUC over the epochs run
+  int epochs = 0;         // epochs run
+};
+
 struct EvalResult {
   double auc = 0.0;
   double mae = 0.0;
@@ -71,10 +79,11 @@ class ZoomerTrainer {
   TrainResult Train(const data::RetrievalDataset& ds,
                     bool eval_per_epoch = false);
 
-  /// Like Train, but stops as soon as the test AUC reaches `target_auc`.
-  /// Returns the wall seconds spent (Fig. 10 protocol).
-  double TrainUntilAuc(const data::RetrievalDataset& ds, double target_auc,
-                       int max_epochs);
+  /// Like Train, but stops as soon as the test AUC reaches `target_auc` or
+  /// after `max_epochs`, whichever comes first (Fig. 10 protocol). The
+  /// result says which: a run that hits the cap reports reached = false.
+  TimeToAucResult TrainUntilAuc(const data::RetrievalDataset& ds,
+                                double target_auc, int max_epochs);
 
   /// CTR metrics on the test split.
   EvalResult Evaluate(const data::RetrievalDataset& ds,

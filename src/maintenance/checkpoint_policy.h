@@ -1,6 +1,6 @@
 // Durability as a janitor concern (ROADMAP durability item): a maintenance
-// policy that drives the persist layer on the same cadence as compaction
-// and TTL decay. Each pass asks the graph for its safe-truncate epoch; if
+// policy that drives the persist layer on the same cadence as compaction.
+// Each pass asks the graph for its safe-truncate epoch; if
 // it advanced far enough past the last durable checkpoint, the policy
 // writes an incremental checkpoint (CheckpointWriter reuses every segment
 // whose generation is unchanged) and then tells the DeltaLogPersister to

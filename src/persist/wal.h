@@ -124,7 +124,8 @@ class DeltaLogPersister {
   /// epoch (0 if none): the replay consumer starts there, and pre-existing
   /// WAL files in the directory (a recovered process's tail) are adopted
   /// for later garbage collection. The active file is named after
-  /// log->last_epoch() + 1.
+  /// log->last_epoch() + 1, and every batch above that last epoch is teed,
+  /// including those appended while Start runs.
   Status Start(uint64_t checkpoint_epoch);
 
   /// Checkpoint barrier: everything at or below `checkpoint_epoch` is

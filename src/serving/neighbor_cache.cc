@@ -186,37 +186,6 @@ void NeighborCache::Invalidate(NodeId node) {
   if (!fill_in_flight) ScheduleFill(node);
 }
 
-void NeighborCache::InvalidateRange(NodeId begin, NodeId end) {
-  if (begin >= end) return;
-  std::vector<NodeId> to_fill;
-  int64_t affected = 0;
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    // Same mid-compute window as Invalidate(): an in-flight fill for a row
-    // in the range may have read the pre-fold graph — mark it dirty so it
-    // re-runs instead of landing a stale top-k.
-    int64_t pending_only = 0;
-    for (auto& [node, dirty] : pending_fills_) {
-      if (node < begin || node >= end) continue;
-      dirty = true;
-      if (!cache_.count(node)) ++pending_only;
-    }
-    for (auto it = cache_.begin(); it != cache_.end();) {
-      if (it->first < begin || it->first >= end) {
-        ++it;
-        continue;
-      }
-      if (!pending_fills_.count(it->first)) to_fill.push_back(it->first);
-      ++affected;
-      it = cache_.erase(it);
-    }
-    affected += pending_only;
-  }
-  if (affected == 0) return;
-  invalidations_.Add(affected);
-  for (NodeId n : to_fill) ScheduleFill(n);
-}
-
 void NeighborCache::InvalidateAll() {
   std::vector<NodeId> to_fill;
   int64_t affected;

@@ -80,11 +80,6 @@ class NeighborCache {
   /// next request after a graph update sees fresh neighbors. No-op for
   /// nodes that were never cached.
   void Invalidate(graph::NodeId node);
-  /// Per-segment invalidation: drops every cached entry with begin <= node
-  /// < end and schedules their re-fills — what OnlineServer issues for the
-  /// row ranges an incremental compaction fold rebuilt, instead of a
-  /// whole-graph flush.
-  void InvalidateRange(graph::NodeId begin, graph::NodeId end);
   void InvalidateAll();
 
   int64_t hits() const { return hits_.Value(); }

@@ -135,12 +135,6 @@ void OnlineServer::AttachMaintenance(
   scheduler->AddListener(
       [this](const std::string&, const maintenance::MaintenanceReport& report) {
         OnGraphUpdate(report.touched);
-        // Incremental folds report the row ranges they rebuilt; refresh
-        // only those segments' cached top-k (a TTL window may have aged
-        // edges out at fold time) instead of flushing the whole cache.
-        for (const auto& [begin, end] : report.folded_ranges) {
-          cache_->InvalidateRange(begin, end);
-        }
       });
 }
 

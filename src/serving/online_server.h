@@ -138,9 +138,9 @@ class OnlineServer {
   }
 
   /// Subscribes this server to the background maintenance scheduler: any
-  /// policy pass that changed node neighborhoods (e.g. a TTL expiry sweep
-  /// dropping aged-out click edges) invalidates those nodes' neighbor-cache
-  /// entries so the asynchronous re-fill serves the windowed view.
+  /// policy pass that reports touched nodes (MaintenanceReport::touched)
+  /// invalidates those nodes' neighbor-cache entries so the asynchronous
+  /// re-fill serves their new neighborhoods.
   /// Compactions need no invalidation — the fold preserves every merged
   /// neighbor distribution. Must be called before scheduler->Start(); the
   /// scheduler must not outlive this server.

@@ -10,46 +10,30 @@
 // Refresh() must not race reads on the same view — it is meant for a
 // single-consumer loop such as the trainer. Give each reader thread its own
 // view; they are cheap (one shared_ptr + one epoch).
-// TTL/decay windows: a view constructed with an explicit DecaySpec pins its
-// snapshots to that window instead of the graph default, so two views over
-// one DynamicHeteroGraph can serve a 1-hour and a 1-day behavior horizon
-// from the same stream. Snapshot reads on delta-heavy nodes transparently
+// Snapshot reads on delta-heavy nodes transparently
 // consult the attached maintenance::HotNodeOverlayCache (pre-merged lists +
 // alias tables), so the view needs no cache plumbing of its own.
 #ifndef ZOOMER_STREAMING_DYNAMIC_GRAPH_VIEW_H_
 #define ZOOMER_STREAMING_DYNAMIC_GRAPH_VIEW_H_
 
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "graph/graph_view.h"
 #include "streaming/dynamic_hetero_graph.h"
-#include "streaming/edge_decay.h"
 
 namespace zoomer {
 namespace streaming {
 
 class DynamicGraphView final : public graph::GraphView {
  public:
-  /// `graph` must outlive the view. Pins to the current watermark epoch
-  /// under the graph-default decay window.
+  /// `graph` must outlive the view. Pins to the current watermark epoch.
   explicit DynamicGraphView(const DynamicHeteroGraph* graph)
       : graph_(graph), snapshot_(graph->MakeSnapshot()) {}
 
-  /// Same, but every snapshot this view pins applies `window` instead of
-  /// the graph-default spec (per-view freshness horizon). The graph must
-  /// already have a LogicalClock installed (SetClock or ConfigureDecay —
-  /// a TtlDecayPolicy does the latter); an active window without a clock
-  /// is a hard error, not a silent no-op.
-  DynamicGraphView(const DynamicHeteroGraph* graph, const DecaySpec& window)
-      : graph_(graph), window_(window), snapshot_(graph->MakeSnapshot(window)) {}
-
-  /// Re-pins to the latest watermark epoch (and re-reads the logical clock
-  /// for decay); returns the epoch now visible.
+  /// Re-pins to the latest watermark epoch; returns the epoch now visible.
   uint64_t Refresh() {
-    snapshot_ = window_.has_value() ? graph_->MakeSnapshot(*window_)
-                                    : graph_->MakeSnapshot();
+    snapshot_ = graph_->MakeSnapshot();
     return snapshot_.epoch();
   }
 
@@ -97,7 +81,6 @@ class DynamicGraphView final : public graph::GraphView {
 
  private:
   const DynamicHeteroGraph* graph_;
-  std::optional<DecaySpec> window_;  // per-view override of the graph spec
   DynamicHeteroGraph::Snapshot snapshot_;
 };
 

@@ -10,12 +10,32 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace zoomer {
 namespace streaming {
 
 using graph::HeteroGraph;
 using graph::NeighborEntry;
 using graph::NodeId;
+
+namespace {
+
+/// Tells ThreadSanitizer that a mutex dies with its owner. Under glibc,
+/// std::mutex and std::shared_mutex are statically initialized and their
+/// destructors never call pthread_*_destroy, so TSan keeps a dead mutex's
+/// lock-order edges; a graph later built at the same address (say, the
+/// next test's stack frame) inherits them as phantom lock-order cycles.
+/// Compiles to nothing without TSan.
+void ForgetMutex([[maybe_unused]] void* mu) {
+#if defined(__SANITIZE_THREAD__)
+  __tsan_mutex_destroy(mu, 0);
+#endif
+}
+
+}  // namespace
 
 DynamicHeteroGraph::DynamicHeteroGraph(const HeteroGraph* base,
                                        DynamicHeteroGraphOptions options)
@@ -215,6 +235,13 @@ DynamicHeteroGraph::RestoredNodeRecord DynamicHeteroGraph::SnapshotNodeRecord(
 }
 
 DynamicHeteroGraph::~DynamicHeteroGraph() {
+  for (LockShard& sh : lock_shards_) ForgetMutex(&sh.mu);
+  ForgetMutex(&base_mu_);
+  ForgetMutex(&alloc_mu_);
+  ForgetMutex(&grow_mu_);
+  ForgetMutex(&compact_mu_);
+  ForgetMutex(&epoch_mu_);
+  ForgetMutex(&participants_mu_);
   for (size_t c = 0; c < kMaxNodeChunks; ++c) {
     delete epoch_chunks_[c].load(std::memory_order_acquire);
     delete record_chunks_[c].load(std::memory_order_acquire);
@@ -359,25 +386,6 @@ DynamicHeteroGraph::CapturedBase() const {
   return {base_, base_generation_.load(std::memory_order_acquire)};
 }
 
-void DynamicHeteroGraph::ConfigureDecay(const DecaySpec& spec,
-                                        const LogicalClock* clock) {
-  ZCHECK(!spec.active() || clock != nullptr)
-      << "an active TTL/decay window needs a LogicalClock";
-  std::unique_lock<std::shared_mutex> lock(decay_mu_);
-  decay_spec_ = spec;
-  clock_ = clock;
-}
-
-void DynamicHeteroGraph::SetClock(const LogicalClock* clock) {
-  std::unique_lock<std::shared_mutex> lock(decay_mu_);
-  clock_ = clock;
-}
-
-DecaySpec DynamicHeteroGraph::decay_spec() const {
-  std::shared_lock<std::shared_mutex> lock(decay_mu_);
-  return decay_spec_;
-}
-
 void DynamicHeteroGraph::AttachHotNodeCache(
     maintenance::HotNodeOverlayCache* cache) {
   hot_cache_.store(cache, std::memory_order_release);
@@ -393,7 +401,7 @@ void DynamicHeteroGraph::DetachHotNodeCache(
 DynamicHeteroGraph::Snapshot::Snapshot(
     const DynamicHeteroGraph* owner,
     std::shared_ptr<const HeteroGraph> base, uint64_t base_generation,
-    uint64_t epoch, DecaySpec decay, int64_t as_of)
+    uint64_t epoch)
     : owner_(owner),
       base_(std::move(base)),
       epoch_(epoch),
@@ -406,10 +414,7 @@ DynamicHeteroGraph::Snapshot::Snapshot(
                           owner->overlay_origin_ +
                               owner->VisibleOverlayNodes(epoch))),
       hot_cache_(owner->hot_cache_.load(std::memory_order_acquire)),
-      hot_pin_(hot_cache_ != nullptr ? hot_cache_->PinReaders() : nullptr),
-      decay_(decay),
-      decay_active_(decay.active()),
-      as_of_(as_of) {}
+      hot_pin_(hot_cache_ != nullptr ? hot_cache_->PinReaders() : nullptr) {}
 
 graph::NodeType DynamicHeteroGraph::Snapshot::node_type(NodeId node) const {
   ZCHECK(node >= 0 && node < num_nodes_);
@@ -435,34 +440,9 @@ std::span<const int64_t> DynamicHeteroGraph::Snapshot::slots(
   return {rec.slots.data(), rec.slots.size()};
 }
 
-DynamicHeteroGraph::Snapshot DynamicHeteroGraph::SnapshotUnder(
-    const DecaySpec* override_window) const {
-  DecaySpec spec;
-  const LogicalClock* clock = nullptr;
-  {
-    std::shared_lock<std::shared_mutex> lock(decay_mu_);
-    spec = override_window != nullptr ? *override_window : decay_spec_;
-    clock = clock_;
-  }
-  // ConfigureDecay enforces this for the graph default; per-view windows
-  // land here, where a missing clock would otherwise silently disable the
-  // whole window (age 0 - timestamp never expires anything).
-  ZCHECK(!spec.active() || clock != nullptr)
-      << "an active TTL/decay window needs a LogicalClock "
-         "(SetClock/ConfigureDecay)";
-  const int64_t as_of = spec.active() ? clock->NowSeconds() : 0;
-  auto [base, generation] = CapturedBase();
-  return Snapshot(this, std::move(base), generation, watermark_epoch(), spec,
-                  as_of);
-}
-
 DynamicHeteroGraph::Snapshot DynamicHeteroGraph::MakeSnapshot() const {
-  return SnapshotUnder(nullptr);
-}
-
-DynamicHeteroGraph::Snapshot DynamicHeteroGraph::MakeSnapshot(
-    const DecaySpec& window) const {
-  return SnapshotUnder(&window);
+  auto [base, generation] = CapturedBase();
+  return Snapshot(this, std::move(base), generation, watermark_epoch());
 }
 
 void DynamicHeteroGraph::PublishWatermarkLocked() {
@@ -605,12 +585,10 @@ Status DynamicHeteroGraph::ApplyBatch(const DeltaBatch& batch) {
     // this epoch while seg(dst) had not. Inert outside replay (empty
     // floors, and live epochs always exceed every floor).
     if (!ReplayFolded(ev.src, ev.dst, batch.epoch)) {
-      AppendHalfEdge(*base, ev.src, {ev.dst, ev.weight, ev.kind}, batch.epoch,
-                     ev.timestamp);
+      AppendHalfEdge(*base, ev.src, {ev.dst, ev.weight, ev.kind}, batch.epoch);
     }
     if (!ReplayFolded(ev.dst, ev.src, batch.epoch)) {
-      AppendHalfEdge(*base, ev.dst, {ev.src, ev.weight, ev.kind}, batch.epoch,
-                     ev.timestamp);
+      AppendHalfEdge(*base, ev.dst, {ev.src, ev.weight, ev.kind}, batch.epoch);
     }
   }
   // Hot-node entries for the touched endpoints are stale now (their overlay
@@ -679,8 +657,7 @@ Status DynamicHeteroGraph::RegisterNodeEvents(const DeltaBatch& batch) {
 }
 
 void DynamicHeteroGraph::AppendHalfEdge(const HeteroGraph& base, NodeId node,
-                                        NeighborEntry entry, uint64_t epoch,
-                                        int64_t timestamp) {
+                                        NeighborEntry entry, uint64_t epoch) {
   LockShard& sh = lock_shards_[ShardFor(node)];
   {
     std::unique_lock<std::shared_mutex> lock(sh.mu);
@@ -700,15 +677,12 @@ void DynamicHeteroGraph::AppendHalfEdge(const HeteroGraph& base, NodeId node,
     // order, so this is an append with a rare short sorted insert.
     size_t pos = ov.entries.size();
     while (pos > 0 && ov.entries[pos - 1].epoch > epoch) --pos;
-    ov.entries.insert(ov.entries.begin() + pos,
-                      DeltaEntry{entry, epoch, timestamp});
+    ov.entries.insert(ov.entries.begin() + pos, DeltaEntry{entry, epoch});
     ov.weight_prefix.resize(ov.entries.size());
     for (size_t i = pos; i < ov.entries.size(); ++i) {
       ov.weight_prefix[i] = (i == 0 ? 0.0 : ov.weight_prefix[i - 1]) +
                             static_cast<double>(ov.entries[i].e.weight);
     }
-    // Lifetime traffic of an overlay-born node — the cold-node TTL signal.
-    if (node >= overlay_origin_) ++overlay_record(node).lifetime_entries;
   }
   total_entries_.fetch_add(1, std::memory_order_acq_rel);
   SegStat& ss = seg_stat(segment_of(node));
@@ -728,25 +702,7 @@ const maintenance::HotNodeCacheEntry* DynamicHeteroGraph::Snapshot::HotEntry(
   // Entries are stamped with the generation of the one segment backing the
   // node, so an incremental fold elsewhere leaves this lookup valid.
   return hot_cache_->Find(node, epoch_, overlay_version,
-                          base_->generation_of(node), decay_active_, as_of_,
-                          decay_);
-}
-
-float DynamicHeteroGraph::Snapshot::EntryWeight(const DeltaEntry& d) const {
-  if (!decay_active_) return d.e.weight;
-  const int64_t age = as_of_ - d.timestamp;
-  if (decay_.Expired(d.e.kind, age)) return -1.0f;
-  return decay_.DecayedWeight(d.e.kind, d.e.weight, age);
-}
-
-template <typename Fn>
-void DynamicHeteroGraph::Snapshot::ForEachVisibleDelta(
-    const DeltaEntry* entries, size_t prefix, Fn&& fn) const {
-  for (size_t i = 0; i < prefix; ++i) {
-    const float w = EntryWeight(entries[i]);
-    if (w < 0.0f) continue;  // past TTL at as_of
-    fn(entries[i], w);
-  }
+                          base_->generation_of(node));
 }
 
 bool DynamicHeteroGraph::Snapshot::HasDelta(NodeId node) const {
@@ -762,12 +718,7 @@ int64_t DynamicHeteroGraph::Snapshot::DeltaDegree(NodeId node) const {
   std::shared_lock<std::shared_mutex> lock(sh.mu);
   auto it = sh.overlays.find(node);
   if (it == sh.overlays.end()) return 0;
-  const size_t prefix = VisiblePrefix(it->second, epoch_);
-  if (!decay_active_) return static_cast<int64_t>(prefix);
-  int64_t alive = 0;
-  ForEachVisibleDelta(it->second.entries.data(), prefix,
-                      [&alive](const DeltaEntry&, float) { ++alive; });
-  return alive;
+  return static_cast<int64_t>(VisiblePrefix(it->second, epoch_));
 }
 
 int64_t DynamicHeteroGraph::Snapshot::Degree(NodeId node) const {
@@ -792,13 +743,7 @@ double DynamicHeteroGraph::Snapshot::TotalWeight(NodeId node) const {
     const NodeOverlay& ov = it->second;
     total = ov.base_total_weight;
     const size_t prefix = VisiblePrefix(ov, epoch_);
-    if (!decay_active_) {
-      if (prefix > 0) total += ov.weight_prefix[prefix - 1];
-      return total;
-    }
-    ForEachVisibleDelta(
-        ov.entries.data(), prefix,
-        [&total](const DeltaEntry&, float w) { total += w; });
+    if (prefix > 0) total += ov.weight_prefix[prefix - 1];
     return total;
   }
   if (InBase(node)) {
@@ -826,24 +771,24 @@ void DynamicHeteroGraph::Snapshot::CoalesceVisibleDeltas(
   size_t n = merged_size;
   if (prefix < 16) {
     // Tiny deltas: linear coalescing, no extra allocation.
-    ForEachVisibleDelta(
-        ov.entries.data(), prefix, [&](const DeltaEntry& d, float w) {
-          if (!keep(d.e)) return;
-          const int64_t k = EntryKey(d.e.neighbor, d.e.kind);
-          size_t match = n;
-          for (size_t j = 0; j < n; ++j) {
-            if (key_at(j) == k) {
-              match = j;
-              break;
-            }
-          }
-          if (match < n) {
-            add_weight(match, w);
-          } else {
-            append(d.e, w);
-            ++n;
-          }
-        });
+    for (size_t i = 0; i < prefix; ++i) {
+      const NeighborEntry& e = ov.entries[i].e;
+      if (!keep(e)) continue;
+      const int64_t k = EntryKey(e.neighbor, e.kind);
+      size_t match = n;
+      for (size_t j = 0; j < n; ++j) {
+        if (key_at(j) == k) {
+          match = j;
+          break;
+        }
+      }
+      if (match < n) {
+        add_weight(match, e.weight);
+      } else {
+        append(e);
+        ++n;
+      }
+    }
     return;
   }
   // Hot nodes accumulate thousands of deltas between compactions; index the
@@ -851,18 +796,17 @@ void DynamicHeteroGraph::Snapshot::CoalesceVisibleDeltas(
   std::unordered_map<int64_t, size_t> index;
   index.reserve(n + prefix);
   for (size_t j = 0; j < n; ++j) index.emplace(key_at(j), j);
-  ForEachVisibleDelta(
-      ov.entries.data(), prefix, [&](const DeltaEntry& d, float w) {
-        if (!keep(d.e)) return;
-        auto [it, inserted] =
-            index.try_emplace(EntryKey(d.e.neighbor, d.e.kind), n);
-        if (inserted) {
-          append(d.e, w);
-          ++n;
-        } else {
-          add_weight(it->second, w);
-        }
-      });
+  for (size_t i = 0; i < prefix; ++i) {
+    const NeighborEntry& e = ov.entries[i].e;
+    if (!keep(e)) continue;
+    auto [it, inserted] = index.try_emplace(EntryKey(e.neighbor, e.kind), n);
+    if (inserted) {
+      append(e);
+      ++n;
+    } else {
+      add_weight(it->second, e.weight);
+    }
+  }
 }
 
 void DynamicHeteroGraph::Snapshot::Neighbors(
@@ -898,9 +842,7 @@ void DynamicHeteroGraph::Snapshot::Neighbors(
       [out](size_t j) {
         return EntryKey((*out)[j].neighbor, (*out)[j].kind);
       },
-      [out](const NeighborEntry& e, float w) {
-        out->push_back({e.neighbor, w, e.kind});
-      },
+      [out](const NeighborEntry& e) { out->push_back(e); },
       [out](size_t j, float w) { (*out)[j].weight += w; });
 }
 
@@ -937,9 +879,9 @@ void DynamicHeteroGraph::Snapshot::Neighbors(
   CoalesceVisibleDeltas(
       it->second, ids->size(), [](const NeighborEntry&) { return true; },
       [&](size_t j) { return EntryKey((*ids)[j], (*kinds)[j]); },
-      [&](const NeighborEntry& e, float w) {
+      [&](const NeighborEntry& e) {
         ids->push_back(e.neighbor);
-        weights->push_back(w);
+        weights->push_back(e.weight);
         kinds->push_back(e.kind);
       },
       [&](size_t j, float w) { (*weights)[j] += w; });
@@ -978,9 +920,9 @@ void DynamicHeteroGraph::Snapshot::NeighborsOfType(
         return node_type(entry.neighbor) == t;
       },
       [&](size_t j) { return EntryKey((*ids)[j], (*kinds)[j]); },
-      [&](const NeighborEntry& entry, float w) {
+      [&](const NeighborEntry& entry) {
         ids->push_back(entry.neighbor);
-        weights->push_back(w);
+        weights->push_back(entry.weight);
         kinds->push_back(entry.kind);
       },
       [&](size_t j, float w) { (*weights)[j] += w; });
@@ -988,7 +930,7 @@ void DynamicHeteroGraph::Snapshot::NeighborsOfType(
 
 /// A node resolved for drawing: its weighted row (the pinned base CSR row,
 /// or a hot-cache entry's materialized merge) plus, when it carries visible
-/// deltas, the live delta entries with their cumulative weights. Holds the
+/// deltas, the visible delta entries with their cumulative weights. Holds the
 /// node's lock shard when Resolve() took it, so the overlay it points into
 /// stays put for every draw.
 struct DynamicHeteroGraph::Snapshot::NodeDraw {
@@ -999,13 +941,6 @@ struct DynamicHeteroGraph::Snapshot::NodeDraw {
   std::span<const double> delta_cum;  // empty: the row is all there is
   double row_w = 0.0;                 // row side of the base-vs-delta coin
   double total = 0.0;
-  // Windowed reads only: TTL exclusion and decay change the live entries
-  // and their mass, so they are resolved once into these (the one heap
-  // allocation on the draw path; hot nodes dodge it through the cache).
-  // `deltas` / `delta_cum` then point into them; a move (Resolve returns
-  // by value) hands the buffers over, so the views stay valid.
-  std::vector<DeltaEntry> live;
-  std::vector<double> live_cum;
 
   NodeId RowDraw(Rng* rng) const {
     return row_ids.empty() ? -1 : row_ids[row_alias->SampleUnchecked(rng)];
@@ -1027,7 +962,7 @@ struct DynamicHeteroGraph::Snapshot::NodeDraw {
     const double r = rng->UniformDouble() * total;
     if (r < row_w) return RowDraw(rng);
     auto pos = std::upper_bound(delta_cum.begin(), delta_cum.end(), r - row_w);
-    if (pos == delta_cum.end()) --pos;  // fp guard: last live entry
+    if (pos == delta_cum.end()) --pos;  // fp guard: last visible entry
     return deltas[pos - delta_cum.begin()].e.neighbor;
   }
 
@@ -1084,24 +1019,10 @@ DynamicHeteroGraph::Snapshot::NodeDraw DynamicHeteroGraph::Snapshot::Resolve(
       it == sh.overlays.end() ? 0 : VisiblePrefix(it->second, epoch_);
   if (prefix == 0) return d;
   const NodeOverlay& ov = it->second;
-  if (!decay_active_) {
-    d.deltas = ov.entries.data();
-    d.delta_cum = {ov.weight_prefix.data(), prefix};
-  } else {
-    d.live.reserve(prefix);
-    d.live_cum.reserve(prefix);
-    double cum = 0.0;
-    ForEachVisibleDelta(ov.entries.data(), prefix,
-                        [&](const DeltaEntry& e, float w) {
-                          cum += w;
-                          d.live.push_back(e);
-                          d.live_cum.push_back(cum);
-                        });
-    d.deltas = d.live.data();
-    d.delta_cum = d.live_cum;
-  }
+  d.deltas = ov.entries.data();
+  d.delta_cum = {ov.weight_prefix.data(), prefix};
   d.row_w = ov.base_total_weight;
-  d.total = d.row_w + (d.delta_cum.empty() ? 0.0 : d.delta_cum.back());
+  d.total = d.row_w + d.delta_cum.back();
   return d;
 }
 
@@ -1208,69 +1129,6 @@ std::vector<NodeId> DynamicHeteroGraph::DeltaNodes(
   return out;
 }
 
-std::vector<NodeId> DynamicHeteroGraph::ExpireDeltas(int64_t now_seconds) {
-  const DecaySpec spec = decay_spec();
-  std::vector<NodeId> touched;
-  if (!spec.has_ttl()) return touched;
-
-  for (auto& sh : lock_shards_) {
-    std::unique_lock<std::shared_mutex> lock(sh.mu);
-    int64_t removed_in_shard = 0;
-    for (auto it = sh.overlays.begin(); it != sh.overlays.end();) {
-      NodeOverlay& ov = it->second;
-      // std::remove_if is stable, so surviving entries stay epoch-ordered.
-      auto new_end = std::remove_if(
-          ov.entries.begin(), ov.entries.end(), [&](const DeltaEntry& d) {
-            return spec.Expired(d.e.kind, now_seconds - d.timestamp);
-          });
-      const int64_t removed =
-          static_cast<int64_t>(ov.entries.end() - new_end);
-      if (removed == 0) {
-        ++it;
-        continue;
-      }
-      const NodeId node = it->first;
-      ov.entries.erase(new_end, ov.entries.end());
-      removed_in_shard += removed;
-      seg_stat(segment_of(node))
-          .entries.fetch_sub(removed, std::memory_order_relaxed);
-      touched.push_back(node);
-      if (ov.entries.empty()) {
-        // Readers that already saw a non-zero node_epoch take the shard
-        // lock, find no overlay, and fall back to the base — same path as
-        // after a fold.
-        node_epoch_slot(node).store(0, std::memory_order_release);
-        it = sh.overlays.erase(it);
-        continue;
-      }
-      ov.weight_prefix.resize(ov.entries.size());
-      double cum = 0.0;
-      for (size_t i = 0; i < ov.entries.size(); ++i) {
-        cum += static_cast<double>(ov.entries[i].e.weight);
-        ov.weight_prefix[i] = cum;
-      }
-      // The overlay version tracks the newest surviving entry (epoch order
-      // makes that the back). A concurrent append's CAS-max simply re-raises
-      // it.
-      node_epoch_slot(node).store(ov.entries.back().epoch,
-                                  std::memory_order_release);
-      ++it;
-    }
-    // Subtract while still holding this shard's lock: a concurrent fold
-    // (multi-threaded janitor) adjusts total_entries_ under *all* shard
-    // locks, so a sweep-wide deferred subtraction could double-count
-    // entries the fold already discarded and drive the counter negative
-    // for good.
-    total_entries_.fetch_sub(removed_in_shard, std::memory_order_acq_rel);
-  }
-  // Expiry rewrites overlays without bumping their versions, so the hot
-  // cache cannot catch it by version check alone — invalidate eagerly.
-  if (auto* cache = hot_cache_.load(std::memory_order_acquire)) {
-    for (NodeId node : touched) cache->Invalidate(node);
-  }
-  return touched;
-}
-
 namespace {
 
 /// Parks every attached applier at a batch boundary for the duration of a
@@ -1332,25 +1190,6 @@ StatusOr<uint64_t> DynamicHeteroGraph::CompactSegments(
   std::lock_guard<std::mutex> participants_lock(participants_mu_);
   QuiesceGuard quiesce(participants_);
 
-  // TTL interaction (resolved before the shard locks — decay_mu_ never
-  // nests inside them): entries already past their TTL are invisible to
-  // every decay-aware reader and pending garbage collection — folding them
-  // would permanently resurrect them as (never-windowed) base edges.
-  // Entries still inside their window fold at full raw weight: compaction
-  // is how a streamed edge graduates into the un-windowed offline
-  // aggregate.
-  DecaySpec spec;
-  const LogicalClock* clock = nullptr;
-  {
-    std::shared_lock<std::shared_mutex> decay_lock(decay_mu_);
-    spec = decay_spec_;
-    clock = clock_;
-  }
-  const bool drop_expired = spec.has_ttl() && clock != nullptr;
-  const bool expire_cold =
-      options_.cold_node_ttl_seconds > 0 && clock != nullptr;
-  const int64_t now = clock != nullptr ? clock->NowSeconds() : 0;
-
   // Exclusive hold on every lock shard: no reader or (contract-violating)
   // applier can observe the rebuild half-done. The pause is bounded by the
   // *selected* segments' work, which is the whole point.
@@ -1364,7 +1203,7 @@ StatusOr<uint64_t> DynamicHeteroGraph::CompactSegments(
   // crash recovery's replay filter would then drop them as "already
   // folded". At the watermark the floor is exact: every batch at or below
   // it is fully applied, so its entries are in the overlays right now (or
-  // folded/expired earlier) and the rebuilt rows absorb all of them.
+  // folded earlier) and the rebuilt rows absorb all of them.
   // Entries above the watermark are carried over and fold later.
   const uint64_t fold_epoch = watermark_epoch();
   auto old_base = this->base();
@@ -1444,7 +1283,6 @@ StatusOr<uint64_t> DynamicHeteroGraph::CompactSegments(
     return overlay_record(id).type;
   };
 
-  int64_t cold_expired = 0;
   std::vector<std::pair<int64_t, std::shared_ptr<const graph::CsrSegment>>>
       rebuilt;
   rebuilt.reserve(segments.size());
@@ -1495,9 +1333,6 @@ StatusOr<uint64_t> DynamicHeteroGraph::CompactSegments(
         }
         for (size_t i = 0; i < prefix; ++i) {
           const DeltaEntry& d = ov->entries[i];
-          if (drop_expired && spec.Expired(d.e.kind, now - d.timestamp)) {
-            continue;  // dropped, not resurrected as a base edge
-          }
           if (d.e.neighbor >= fold_bound) continue;  // carried over
           auto [pos, inserted] = index.try_emplace(
               EntryKey(d.e.neighbor, d.e.kind), merged.size());
@@ -1521,38 +1356,7 @@ StatusOr<uint64_t> DynamicHeteroGraph::CompactSegments(
         continue;
       }
       // Frontier row: the overlay record is the payload source.
-      OverlayNodeRecord& rec = overlay_record(r);
-      // Node-TTL groundwork: a cold-start node that never accumulated
-      // more than cold_node_max_degree half-edges in its lifetime, aged
-      // past the node TTL, and with nothing foldable or carried over,
-      // folds as an isolated stub and its record payload is reclaimed.
-      bool carried = false;
-      if (ov != nullptr) {
-        for (size_t i = 0; i < ov->entries.size() && !carried; ++i) {
-          const DeltaEntry& d = ov->entries[i];
-          if (drop_expired && spec.Expired(d.e.kind, now - d.timestamp)) {
-            continue;
-          }
-          carried |= i >= prefix || d.e.neighbor >= fold_bound;
-        }
-      }
-      const bool cold =
-          expire_cold && merged.empty() && !carried &&
-          rec.lifetime_entries <= options_.cold_node_max_degree &&
-          now - rec.timestamp >= options_.cold_node_ttl_seconds;
-      if (cold) {
-        // Stub row: the base never inherits the payload or any edges, so
-        // the reclaimed storage is everything the fold would otherwise
-        // carry forward. The record itself stays intact — snapshots pinned
-        // to pre-fold bases read it lock-free, so freeing it here would be
-        // a use-after-free; full record reclamation needs snapshot pin
-        // tracking (future work).
-        builder.AddRow(rec.type,
-                       {zero_content_.data(), zero_content_.size()},
-                       std::span<const int64_t>{}, {});
-        ++cold_expired;
-        continue;
-      }
+      const OverlayNodeRecord& rec = overlay_record(r);
       builder.AddRow(rec.type,
                      {rec.content.data(), rec.content.size()},
                      {rec.slots.data(), rec.slots.size()}, std::move(merged));
@@ -1589,15 +1393,12 @@ StatusOr<uint64_t> DynamicHeteroGraph::CompactSegments(
       }
       NodeOverlay& ov = it->second;
       // Same fold decision as above: entries of rows beyond target_end were
-      // not folded (prefix 0); expired entries drop everywhere.
+      // not folded (prefix 0).
       const size_t prefix =
           node < target_end ? VisiblePrefix(ov, fold_epoch) : 0;
       NodeOverlay next;
       for (size_t i = 0; i < ov.entries.size(); ++i) {
         const DeltaEntry& d = ov.entries[i];
-        if (drop_expired && spec.Expired(d.e.kind, now - d.timestamp)) {
-          continue;
-        }
         if (i < prefix && d.e.neighbor < fold_bound) continue;  // folded
         next.entries.push_back(d);  // filtering keeps the epoch order
       }
@@ -1627,7 +1428,6 @@ StatusOr<uint64_t> DynamicHeteroGraph::CompactSegments(
     }
   }
   total_entries_.fetch_sub(removed_total, std::memory_order_acq_rel);
-  expired_cold_nodes_.fetch_add(cold_expired, std::memory_order_acq_rel);
   for (int64_t s : segments) {
     seg_stat(s).entries.store(retained_per_seg[s], std::memory_order_release);
     seg_stat(s).folded_epoch.store(fold_epoch, std::memory_order_release);
@@ -1649,8 +1449,8 @@ StatusOr<uint64_t> DynamicHeteroGraph::CompactSegments(
 
 uint64_t DynamicHeteroGraph::SafeTruncateEpoch() const {
   // Every epoch <= the result is fully accounted for: its entries were
-  // folded into some segment, physically expired, or — if still pending in
-  // an overlay — hold the minimum below. Unapplied issued batches bound it
+  // folded into some segment or — if still pending in an overlay — hold the
+  // minimum below. Unapplied issued batches bound it
   // through the watermark.
   uint64_t safe = watermark_epoch();
   for (const auto& sh : lock_shards_) {

@@ -47,18 +47,11 @@
 //    or drop queued-but-unapplied deltas; snapshots taken before a fold
 //    keep their (pinned) old base but lose delta visibility for folded
 //    nodes, so treat snapshots as short read leases.
-//  - TTL/decay windows (ConfigureDecay, or a per-view override passed to
-//    MakeSnapshot): delta entries carry their event timestamp; with an
-//    active DecaySpec a snapshot captures as_of from the injectable
-//    LogicalClock and every read excludes entries past their per-kind TTL
-//    and weighs the rest by exponential decay. Base-CSR edges — the offline
-//    aggregate — are never windowed. maintenance::TtlDecayPolicy installs
-//    the spec and garbage-collects expired entries (ExpireDeltas).
 //  - Hot-node overlay cache (AttachHotNodeCache): snapshot reads on
 //    delta-heavy nodes first consult maintenance::HotNodeOverlayCache for a
 //    pre-merged neighbor list + alias table (O(1) draws instead of the
 //    two-level resample); entries are invalidated here on ApplyBatch and
-//    expiry, and per folded segment range on CompactSegments (untouched
+//    per folded segment range on CompactSegments (untouched
 //    segments keep their entries); entries are version-checked on every
 //    lookup against the node's overlay version and its *segment's*
 //    generation.
@@ -77,13 +70,6 @@
 //    (DynamicHeteroGraphOptions::max_nodes_per_type) bound growth on the
 //    typed allocation path used by the pipeline; exhaustion is a clean
 //    OutOfRange before any id is burned.
-//  - Node-TTL groundwork (cold_node_ttl_seconds): an overlay-born node that
-//    never accumulated more than cold_node_max_degree half-edges over its
-//    lifetime, whose visible entries have all aged out by the time its
-//    segment folds, folds to an isolated zero-content stub row — the base
-//    never inherits its payload or edges. The overlay record itself is
-//    retained (lock-free pinned readers may still hold pointers into it);
-//    freeing it too needs snapshot pin tracking and stays future work.
 #ifndef ZOOMER_STREAMING_DYNAMIC_HETERO_GRAPH_H_
 #define ZOOMER_STREAMING_DYNAMIC_HETERO_GRAPH_H_
 
@@ -97,11 +83,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "graph/hetero_graph.h"
-#include "streaming/edge_decay.h"
 #include "streaming/graph_delta_log.h"
 
 namespace zoomer {
@@ -138,15 +122,6 @@ struct DynamicHeteroGraphOptions {
   /// AllocateNodeIds, which the ingest pipeline routes through.
   /// 0 = unbounded.
   std::array<int64_t, graph::kNumNodeTypes> max_nodes_per_type = {0, 0, 0};
-  /// Node-TTL groundwork: an overlay-born node older than this (against the
-  /// installed LogicalClock) that never accumulated more than
-  /// cold_node_max_degree overlay half-edges in its lifetime, and whose
-  /// entries have all expired by fold time, folds as an isolated
-  /// zero-content stub row — the base stops carrying its payload and
-  /// edges forward (the overlay record stays for pinned readers).
-  /// 0 disables.
-  int64_t cold_node_ttl_seconds = 0;
-  int64_t cold_node_max_degree = 0;
   /// Metrics registry for fold telemetry ("maintenance.fold_pause_us",
   /// "maintenance.fold_segments"). Null means the process-global registry.
   obs::MetricsRegistry* registry = nullptr;
@@ -344,22 +319,6 @@ class DynamicHeteroGraph {
   void AttachParticipant(CompactionParticipant* participant);
   void DetachParticipant(CompactionParticipant* participant);
 
-  /// Installs the graph-default TTL/decay window, evaluated against `clock`
-  /// at snapshot creation. Snapshots taken afterwards resolve decay-aware
-  /// reads; an inactive spec (all zeros) restores raw reads (and may pass a
-  /// clock only, enabling per-view windows without a graph default).
-  /// Usually called through maintenance::TtlDecayPolicy. An active spec
-  /// requires a clock — windows against event time are meaningless without
-  /// a time source.
-  void ConfigureDecay(const DecaySpec& spec, const LogicalClock* clock);
-  DecaySpec decay_spec() const;
-
-  /// Installs only the time source (keeps the current spec). Required
-  /// before any *per-view* window (MakeSnapshot(DecaySpec) /
-  /// DynamicGraphView's window constructor) when no TtlDecayPolicy has
-  /// configured the graph, and before cold-node TTL folds can trigger.
-  void SetClock(const LogicalClock* clock);
-
   /// Attaches the hot-node overlay cache consulted by snapshot reads on
   /// delta-carrying nodes (nullptr detaches). The cache must outlive this
   /// graph or be detached first; maintenance::HotNodeRefreshPolicy attaches
@@ -405,24 +364,12 @@ class DynamicHeteroGraph {
   std::vector<graph::NodeId> DeltaNodes(
       const std::function<int64_t(int64_t)>& min_entries_for_segment) const;
 
-  /// Physically removes delta entries past their TTL under the installed
-  /// DecaySpec at `now_seconds` (no-op without TTLs). Decay-aware readers
-  /// already excluded them, so live snapshots observe no change; raw
-  /// (spec-less) snapshots lose the expired entries — same short-read-lease
-  /// contract as the folds. Returns the nodes that lost entries and
-  /// invalidates their hot-node cache entries (expiry is the one overlay
-  /// mutation that does not bump the node's overlay version).
-  std::vector<graph::NodeId> ExpireDeltas(int64_t now_seconds);
-
   /// Applies one delta batch: every event becomes two half-edges in the
   /// endpoints' overlays, stamped with the batch epoch. Validates the whole
   /// batch before applying any of it.
   Status ApplyBatch(const DeltaBatch& batch);
 
-  /// Consistent read view pinned to the current base and epoch. When a
-  /// DecaySpec is active (graph-default or per-snapshot override), every
-  /// accessor below resolves the *windowed* overlay: delta entries past
-  /// their TTL at as_of are invisible and the rest carry decayed weights.
+  /// Consistent read view pinned to the current base and epoch.
   class Snapshot {
    public:
     const graph::HeteroGraph& base() const { return *base_; }
@@ -436,11 +383,6 @@ class DynamicHeteroGraph {
     uint64_t segment_generation(graph::NodeId node) const {
       return base_->generation_of(node);
     }
-    bool decay_active() const { return decay_active_; }
-    /// Clock reading decay was evaluated at (0 when inactive or clockless).
-    int64_t as_of_seconds() const { return as_of_; }
-    /// The window this snapshot resolves reads under (inactive when none).
-    const DecaySpec& decay_window() const { return decay_; }
 
     /// Stable id-space of this snapshot: base nodes plus the overlay nodes
     /// born at or below the pinned epoch. Every accessor below (and every
@@ -456,8 +398,7 @@ class DynamicHeteroGraph {
     /// Node lookups spanning base + overlay. Content/slot storage is
     /// append-only and never relocates, so the returned pointers/spans stay
     /// valid for the lifetime of the owning DynamicHeteroGraph (not merely
-    /// this snapshot). A cold-node-TTL stub fold does not violate this:
-    /// the record payload is retained; only the folded base row is zeroed.
+    /// this snapshot).
     graph::NodeType node_type(graph::NodeId node) const;
     const float* content(graph::NodeId node) const;
     std::span<const int64_t> slots(graph::NodeId node) const;
@@ -526,11 +467,7 @@ class DynamicHeteroGraph {
     friend class DynamicHeteroGraph;
     Snapshot(const DynamicHeteroGraph* owner,
              std::shared_ptr<const graph::HeteroGraph> base,
-             uint64_t base_generation, uint64_t epoch, DecaySpec decay,
-             int64_t as_of);
-
-    /// Decayed weight of a visible entry, or < 0 when expired at as_of_.
-    float EntryWeight(const DeltaEntry& entry) const;
+             uint64_t base_generation, uint64_t epoch);
 
     /// Validated hot-cache entry for `node` (nullptr on miss or no cache) —
     /// the single place the consistency-protocol arguments are assembled.
@@ -538,18 +475,11 @@ class DynamicHeteroGraph {
     const maintenance::HotNodeCacheEntry* HotEntry(
         graph::NodeId node, uint64_t overlay_version) const;
 
-    /// Invokes fn(entry, decayed_weight) for every entry of the visible
-    /// prefix that survives the TTL window. Caller holds the lock shard.
-    template <typename Fn>
-    void ForEachVisibleDelta(const DeltaEntry* entries, size_t prefix,
-                             Fn&& fn) const;
-
     /// Shared coalescing core behind the Neighbors overloads: folds the
-    /// visible (windowed) delta prefix into a merged list of `merged_size`
-    /// base entries via callbacks (keep(entry) filters, key_at(i) ->
-    /// coalescing key of merged entry i, append(entry, w), add_weight(i,
-    /// w)). Linear probing for tiny deltas, hash-indexed once a node runs
-    /// hot.
+    /// visible delta prefix into a merged list of `merged_size` base
+    /// entries via callbacks (keep(entry) filters, key_at(i) ->
+    /// coalescing key of merged entry i, append(entry), add_weight(i, w)).
+    /// Linear probing for tiny deltas, hash-indexed once a node runs hot.
     template <typename Keep, typename KeyAt, typename Append,
               typename AddWeight>
     void CoalesceVisibleDeltas(const NodeOverlay& ov, size_t merged_size,
@@ -562,9 +492,9 @@ class DynamicHeteroGraph {
     /// The one per-node draw routine behind SampleNeighbor (one draw),
     /// SampleManyNeighbors (k draws) and SampleDistinctNeighbors (until k
     /// distinct or 4k attempts): resolves the epoch slot value
-    /// `node_epoch`, the hot-cache entry, the visible delta prefix and the
-    /// decay window once. Takes the node's lock shard unless the caller
-    /// already holds it (`shard_locked`).
+    /// `node_epoch`, the hot-cache entry and the visible delta prefix
+    /// once. Takes the node's lock shard unless the caller already holds
+    /// it (`shard_locked`).
     NodeDraw Resolve(graph::NodeId node, uint64_t node_epoch,
                      bool shard_locked) const;
 
@@ -577,26 +507,17 @@ class DynamicHeteroGraph {
     /// Reader pin: keeps cache entries this snapshot may be pointing at
     /// from being reclaimed (copies of the snapshot share it).
     std::shared_ptr<void> hot_pin_;
-    DecaySpec decay_;
-    bool decay_active_;
-    int64_t as_of_;
   };
 
-  /// Snapshot under the graph-default decay window (none if unconfigured).
+  /// Snapshot pinned to the current base and watermark epoch.
   Snapshot MakeSnapshot() const;
-  /// Snapshot under an explicit window — how two views serve a 1-hour and
-  /// a 1-day horizon from the same stream. An active window requires an
-  /// installed clock (SetClock / ConfigureDecay): without one the window
-  /// could never expire or decay anything, so that misconfiguration is a
-  /// hard error rather than a silent no-op.
-  Snapshot MakeSnapshot(const DecaySpec& window) const;
 
   /// Folds every applied delta into the segmented base (duplicate (a, b,
   /// kind) edges coalesced by weight, matching the offline builder's
   /// semantics), clears the folded overlays, and returns the epoch folded
   /// through. Implemented as "fold all segments" — see CompactSegments for
-  /// the contract (quiescence, TTL interaction, renumber-free frontier
-  /// growth, carried-over entries).
+  /// the contract (quiescence, renumber-free frontier growth, carried-over
+  /// entries).
   StatusOr<uint64_t> Compact();
 
   /// Incremental fold: rebuilds only the selected segments (by index; out
@@ -605,20 +526,18 @@ class DynamicHeteroGraph {
   /// untouched segment. Selecting any frontier segment folds the whole
   /// applied overlay-node prefix (coverage stays contiguous). Attached
   /// participants are quiesced exactly as for Compact(); appliers not
-  /// registered as participants must not run concurrently. Under an
-  /// installed TTL window, entries already expired at fold time are
-  /// dropped (never resurrected as base edges); surviving entries fold at
-  /// full raw weight. Delta entries touching a not-yet-foldable node
-  /// (allocated but unapplied, or born above the fold epoch) are carried
-  /// over into the rebuilt overlay rather than dropped. Returns the fold
+  /// registered as participants must not run concurrently. Delta entries
+  /// touching a not-yet-foldable node (allocated but unapplied, or born
+  /// above the fold epoch) are carried over into the rebuilt overlay
+  /// rather than dropped. Returns the fold
   /// epoch; for log truncation use SafeTruncateEpoch(), since unselected
   /// segments may still hold entries of older epochs.
   StatusOr<uint64_t> CompactSegments(std::vector<int64_t> segments);
 
   /// Largest epoch E such that no overlay entry with epoch <= E is still
   /// pending fold anywhere (every such entry has been folded into a
-  /// segment or physically expired) and no issued batch at or below E is
-  /// unapplied. GraphDeltaLog::Truncate(SafeTruncateEpoch()) is therefore
+  /// segment) and no issued batch at or below E is unapplied.
+  /// GraphDeltaLog::Truncate(SafeTruncateEpoch()) is therefore
   /// always safe, even between incremental folds of different segments.
   uint64_t SafeTruncateEpoch() const;
 
@@ -642,12 +561,6 @@ class DynamicHeteroGraph {
   /// observed read/write rates).
   std::vector<SegmentPressure> SegmentPressures() const;
 
-  /// Overlay-born nodes the cold-node TTL folded as zero-content stub rows
-  /// (the base stopped carrying their payload and edges forward).
-  int64_t expired_cold_nodes() const {
-    return expired_cold_nodes_.load(std::memory_order_acquire);
-  }
-
   int64_t num_delta_entries() const {
     return total_entries_.load(std::memory_order_acquire);
   }
@@ -662,16 +575,13 @@ class DynamicHeteroGraph {
   struct DeltaEntry {
     graph::NeighborEntry e;
     uint64_t epoch;
-    int64_t timestamp;  // event time (seconds) for TTL/decay windows
   };
 
   /// One streamed node. `birth_epoch` is written at allocation (under
   /// alloc_mu_, published through overlay_allocated_); the payload fields
   /// are written once at apply and published through `applied` plus the
   /// watermark, after which the record is immutable — readers therefore
-  /// hold pointers into content/slots without locks — which is also why a
-  /// cold-node-TTL stub fold leaves the payload untouched (freeing it
-  /// would race those readers; it waits for snapshot pin tracking).
+  /// hold pointers into content/slots without locks.
   struct OverlayNodeRecord {
     uint64_t birth_epoch = 0;
     std::atomic<bool> applied{false};
@@ -680,10 +590,6 @@ class DynamicHeteroGraph {
     bool type_claimed = false;
     graph::NodeType type = graph::NodeType::kItem;
     int64_t timestamp = 0;
-    /// Lifetime overlay half-edges ever appended to this node (never
-    /// decremented by expiry or folds) — the "accumulated traffic" signal
-    /// the cold-node TTL checks. Written under the node's lock shard.
-    int64_t lifetime_entries = 0;
     std::vector<float> content;
     std::vector<int64_t> slots;
   };
@@ -713,8 +619,7 @@ class DynamicHeteroGraph {
   }
 
   void AppendHalfEdge(const graph::HeteroGraph& base, graph::NodeId node,
-                      graph::NeighborEntry entry, uint64_t epoch,
-                      int64_t timestamp);
+                      graph::NeighborEntry entry, uint64_t epoch);
 
   // ---- chunked, append-only per-id storage ---------------------------------
   // Slots never relocate once a chunk exists, so lock-free readers keep raw
@@ -813,11 +718,6 @@ class DynamicHeteroGraph {
   mutable std::shared_mutex base_mu_;
   std::shared_ptr<const graph::HeteroGraph> base_;  // guarded by base_mu_
 
-  /// Shared body of the MakeSnapshot overloads: resolves the effective
-  /// window (override, or the graph default when null) and clock in one
-  /// decay_mu_ section, then captures (base, generation) and the watermark.
-  Snapshot SnapshotUnder(const DecaySpec* override_window) const;
-
   DynamicHeteroGraphOptions options_;
   int content_dim_ = 0;
   /// Rows per segment (power of two) and its log2; fixed at construction.
@@ -831,9 +731,8 @@ class DynamicHeteroGraph {
   /// direct-apply batches count at apply).
   mutable std::array<std::atomic<int64_t>, graph::kNumNodeTypes>
       overlay_type_counts_ = {};
-  /// All-zero content row (content_dim floats): the payload of cold-node
-  /// stub rows in rebuilt segments, and the defensive fallback for empty
-  /// record payloads.
+  /// All-zero content row (content_dim floats): the defensive fallback for
+  /// empty record payloads.
   std::vector<float> zero_content_;
 
   /// First overlay id; fixed at construction (base ids are [0, origin)).
@@ -888,17 +787,11 @@ class DynamicHeteroGraph {
   std::atomic<uint64_t> max_applied_epoch_{0};
   std::atomic<int64_t> total_entries_{0};
   std::atomic<uint64_t> base_generation_{0};  // bumped by every fold
-  std::atomic<int64_t> expired_cold_nodes_{0};
   uint64_t compacted_through_epoch_ = 0;  // guarded by compact_mu_
   std::mutex compact_mu_;
   /// Fold telemetry (registry-owned; resolved once at construction).
   obs::Histogram* fold_pause_us_ = nullptr;
   obs::Histogram* fold_segments_ = nullptr;
-
-  /// Graph-default TTL/decay window; copied into every snapshot.
-  mutable std::shared_mutex decay_mu_;
-  DecaySpec decay_spec_;                          // guarded by decay_mu_
-  const LogicalClock* clock_ = nullptr;           // guarded by decay_mu_
 
   std::atomic<maintenance::HotNodeOverlayCache*> hot_cache_{nullptr};
 

@@ -82,9 +82,23 @@ StatusOr<uint64_t> GraphDeltaLog::AppendWithNodes(
   return epoch;
 }
 
-void GraphDeltaLog::SetAppendObserver(AppendObserver observer) {
+void GraphDeltaLog::SetAppendObserver(AppendObserver observer,
+                                      uint64_t replay_after) {
+  // Shard locks before the observer lock — the order Append takes them in —
+  // so no batch is mid-append while the observer swaps and replays.
+  std::vector<std::unique_lock<std::mutex>> shard_locks;
+  shard_locks.reserve(shards_.size());
+  for (Shard& s : shards_) shard_locks.emplace_back(s.mu);
   std::unique_lock<std::shared_mutex> lock(observer_mu_);
   append_observer_ = std::move(observer);
+  if (!append_observer_) return;
+  for (size_t shard = 0; shard < shards_.size(); ++shard) {
+    for (const DeltaBatch& b : shards_[shard].batches) {
+      if (b.epoch > replay_after) {
+        append_observer_(static_cast<int>(shard), b);
+      }
+    }
+  }
 }
 
 void GraphDeltaLog::NotifyAppendLocked(int shard, const DeltaBatch& batch) {
@@ -187,45 +201,6 @@ uint64_t GraphDeltaLog::MinConsumerEpoch() const {
     min_cursor = std::min(min_cursor, cursor);
   }
   return min_cursor;
-}
-
-int64_t GraphDeltaLog::TruncateExpired(const streaming::DecaySpec& spec,
-                                       int64_t now_seconds,
-                                       uint64_t max_epoch) {
-  if (!spec.has_ttl()) return 0;
-  // A registered replay consumer (a replica's apply cursor) pins everything
-  // past its cursor, dead or alive — revival replays exactly this tail.
-  max_epoch = std::min(max_epoch, MinConsumerEpoch());
-  int64_t dropped = 0;
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto keep = std::remove_if(
-        s.batches.begin(), s.batches.end(), [&](const DeltaBatch& b) {
-          if (b.epoch > max_epoch) return false;  // possibly unapplied
-          // Node-minting batches are the id-space record: a later surviving
-          // edge batch may reference the minted ids, and ReadSince replay
-          // onto a fresh graph would reject those edges if the mint were
-          // gone — so node batches never TTL out of the middle of the log
-          // (only a fold-driven Truncate retires them, with the ids safely
-          // in the folded base).
-          if (!b.node_events.empty()) return false;
-          for (const EdgeEvent& ev : b.events) {
-            if (!spec.Expired(ev.kind, now_seconds - ev.timestamp)) {
-              return false;
-            }
-          }
-          s.events -= static_cast<int64_t>(b.events.size());
-          ++dropped;
-          return true;
-        });
-    s.batches.erase(keep, s.batches.end());
-  }
-  if (dropped > 0) {
-    ZLOG_EVERY_N(DEBUG, 16) << "delta-log TTL truncation dropped " << dropped
-                            << " fully-expired batches (<= epoch "
-                            << max_epoch << ")";
-  }
-  return dropped;
 }
 
 void GraphDeltaLog::Truncate(uint64_t epoch) {

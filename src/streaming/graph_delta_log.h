@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <shared_mutex>
 #include <utility>
@@ -19,7 +20,6 @@
 
 #include "common/status.h"
 #include "graph/hetero_graph.h"
-#include "streaming/edge_decay.h"
 
 namespace zoomer {
 namespace streaming {
@@ -127,9 +127,19 @@ class GraphDeltaLog {
   /// may interleave out of epoch order, which recovery resolves by sorting
   /// (exactly as ReadSince does). Pass an empty function to detach. The
   /// observer must not call back into this log.
+  ///
+  /// The install also hands the new observer every batch already in the
+  /// log with epoch > `replay_after` (per shard, in log order; the default
+  /// replays nothing). Every shard lock is held across install and replay,
+  /// so a batch racing the install reaches the observer exactly once:
+  /// replayed if it landed before, notified if after. The caller must not
+  /// hold a lock its observer takes — appends hold a shard lock and the
+  /// observer lock while they notify.
   using AppendObserver = std::function<void(int shard,
                                             const DeltaBatch& batch)>;
-  void SetAppendObserver(AppendObserver observer);
+  void SetAppendObserver(
+      AppendObserver observer,
+      uint64_t replay_after = std::numeric_limits<uint64_t>::max());
 
   /// Recovery-only: re-inserts a batch replayed from the WAL with its
   /// *original* epoch (never re-issued), so a recovered process's in-memory
@@ -164,7 +174,7 @@ class GraphDeltaLog {
 
   // ---- replay consumers (replica apply cursors) ---------------------------
   // Each replica of the distributed engine owns a cursor into this log.
-  // While a consumer is registered, Truncate/TruncateExpired clamp to the
+  // While a consumer is registered, Truncate clamps to the
   // minimum cursor, so a lagging — or killed — replica's replay tail
   // survives until it catches up (or is unregistered). This is what makes
   // ReviveReplica's "rebuild by replaying from the last watermark" safe
@@ -183,7 +193,7 @@ class GraphDeltaLog {
   uint64_t ConsumerCursor(int id) const;
 
   /// Smallest registered cursor, or UINT64_MAX when no consumer is
-  /// registered — the retention floor Truncate/TruncateExpired respect.
+  /// registered — the retention floor Truncate respects.
   uint64_t MinConsumerEpoch() const;
 
   /// Drops batches with epoch <= `epoch` (called after compaction folds
@@ -192,21 +202,6 @@ class GraphDeltaLog {
   /// MinConsumerEpoch(): a registered replay consumer's unconsumed tail is
   /// never dropped, however far compaction has folded.
   void Truncate(uint64_t epoch);
-
-  /// TTL-driven truncation (ROADMAP: "TTL'd truncation of the in-memory
-  /// delta log itself"): drops edge-only batches with epoch <= `max_epoch`
-  /// whose every event has aged past its relation kind's TTL at
-  /// `now_seconds`. Such entries are invisible to every decay-aware reader
-  /// and already swept from the overlay, so a quiet stream no longer pins
-  /// them until the next fold. Node-minting batches are exempt — they are
-  /// the id-space record later surviving edge batches may reference on a
-  /// fresh replay; only fold-driven Truncate() retires them. Pass the
-  /// graph's watermark_epoch() as `max_epoch` so an issued-but-unapplied
-  /// batch is never dropped; `max_epoch` is additionally clamped to
-  /// MinConsumerEpoch() so replay consumers keep their tails. Returns the
-  /// number of batches dropped.
-  int64_t TruncateExpired(const streaming::DecaySpec& spec,
-                          int64_t now_seconds, uint64_t max_epoch);
 
   DeltaLogStats Stats() const;
   size_t MemoryBytes() const;

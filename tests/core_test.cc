@@ -475,9 +475,27 @@ TEST(ZoomerTrainerTest, TrainUntilAucStops) {
   TrainOptions topt;
   topt.max_examples_per_epoch = 600;
   ZoomerTrainer trainer(&model, topt);
-  const double secs = trainer.TrainUntilAuc(ds, /*target_auc=*/0.55,
-                                            /*max_epochs=*/4);
-  EXPECT_GT(secs, 0.0);
+  const TimeToAucResult run = trainer.TrainUntilAuc(ds, /*target_auc=*/0.55,
+                                                    /*max_epochs=*/4);
+  EXPECT_GT(run.seconds, 0.0);
+  EXPECT_GE(run.epochs, 1);
+  EXPECT_LE(run.epochs, 4);
+  EXPECT_GT(run.best_auc, 0.0);
+  // Stopping early means the target was reached; running all four epochs
+  // without reaching it must say so.
+  if (run.epochs < 4) {
+    EXPECT_TRUE(run.reached);
+  }
+  EXPECT_EQ(run.reached, run.best_auc >= 0.55);
+
+  // A target no model reaches runs to the cap and reports the miss.
+  ZoomerModel capped_model(&ds.graph, TinyConfig());
+  ZoomerTrainer capped(&capped_model, topt);
+  const TimeToAucResult miss = capped.TrainUntilAuc(ds, /*target_auc=*/1.01,
+                                                    /*max_epochs=*/2);
+  EXPECT_FALSE(miss.reached);
+  EXPECT_EQ(miss.epochs, 2);
+  EXPECT_LT(miss.best_auc, 1.01);
 }
 
 }  // namespace

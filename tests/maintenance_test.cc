@@ -1,11 +1,9 @@
 // Tests for the background graph-maintenance subsystem: the janitor
 // scheduler (dispatch, background ticking, error isolation), threshold- and
-// age-triggered scheduled compaction, deterministic TTL expiry and
-// exponential weight decay on a manual logical clock (including per-view
-// 1-hour vs 1-day windows over one stream), the hot-node overlay cache
-// (distribution parity, apply/compact/expiry invalidation, decay as_of
-// staleness), janitor-triggered Compact() racing mid-ingest appends and
-// pinned snapshots, and serving-layer NeighborCache coordination through
+// age-triggered scheduled compaction, the hot-node overlay cache
+// (distribution parity, apply/compact invalidation), janitor-triggered
+// Compact() racing mid-ingest appends and pinned snapshots, and
+// serving-layer NeighborCache coordination through
 // OnlineServer::AttachMaintenance.
 #include <gtest/gtest.h>
 
@@ -24,13 +22,11 @@
 #include "maintenance/compaction_policy.h"
 #include "maintenance/hot_node_cache.h"
 #include "maintenance/maintenance_scheduler.h"
-#include "maintenance/ttl_decay_policy.h"
 #include "obs/metrics.h"
 #include "serving/neighbor_cache.h"
 #include "serving/online_server.h"
 #include "streaming/dynamic_graph_view.h"
 #include "streaming/dynamic_hetero_graph.h"
-#include "streaming/edge_decay.h"
 #include "streaming/graph_delta_log.h"
 #include "streaming/ingest_pipeline.h"
 
@@ -43,7 +39,6 @@ using graph::HeteroGraphBuilder;
 using graph::NodeId;
 using graph::NodeType;
 using graph::RelationKind;
-using streaming::DecaySpec;
 using streaming::DeltaBatch;
 using streaming::DynamicGraphView;
 using streaming::DynamicHeteroGraph;
@@ -301,186 +296,6 @@ TEST(CompactionPolicyTest, AgeThresholdFiresOnLogicalClock) {
   EXPECT_EQ(dyn.num_delta_entries(), 0);
 }
 
-// --- TTL / decay on the manual logical clock --------------------------------
-
-TEST(TtlDecayTest, EdgesPastTtlAreExcludedDeterministically) {
-  // Base: query 1 -> user 0 (w=1), item 2 (w=1). Deltas: item 3 at t=0,
-  // item 4 at t=100. With ttl=50 and the clock at 120, item 3 (age 120) is
-  // out and item 4 (age 20) is in — bit-for-bit reproducible, no sleeps.
-  HeteroGraph g = MakeTinyGraph(4, {1.0f});
-  GraphDeltaLog log(1);
-  auto dyn_owner = MakeDynamic(&g);
-  DynamicHeteroGraph& dyn = *dyn_owner;
-  ManualClock clock(120);
-  MaintenanceScheduler scheduler;
-  scheduler.AddPolicy(std::make_unique<TtlDecayPolicy>(
-                          &dyn, &clock, DecaySpec::Window(50, 0.0)),
-                      {});
-
-  ASSERT_TRUE(
-      dyn.ApplyBatch(MakeBatch(&log, 0,
-                               {{1, 3, RelationKind::kClick, 5.0f, 0},
-                                {1, 4, RelationKind::kClick, 2.0f, 100}}))
-          .ok());
-
-  auto snap = dyn.MakeSnapshot();
-  EXPECT_TRUE(snap.decay_active());
-  EXPECT_EQ(snap.as_of_seconds(), 120);
-  EXPECT_EQ(snap.DeltaDegree(1), 1);  // item 3 aged out
-  EXPECT_EQ(snap.Degree(1), 3);
-  EXPECT_NEAR(snap.TotalWeight(1), 4.0, 1e-9);  // 1 + 1 + 2 (no 5)
-
-  std::vector<graph::NeighborEntry> merged;
-  snap.Neighbors(1, &merged);
-  ASSERT_EQ(merged.size(), 3u);
-  for (const auto& e : merged) EXPECT_NE(e.neighbor, 3);
-
-  Rng rng(17);
-  for (int i = 0; i < 5000; ++i) {
-    EXPECT_NE(snap.SampleNeighbor(1, &rng), 3);
-  }
-
-  // The physical entries are still there until the janitor sweeps; the
-  // exclusion above is purely the read-time window.
-  EXPECT_EQ(dyn.num_delta_entries(), 4);
-  auto r = scheduler.RunOnceForTest("ttl_decay");
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r.value().acted);
-  ASSERT_EQ(r.value().touched.size(), 2u);  // both endpoints of (1, 3)
-  EXPECT_EQ(dyn.num_delta_entries(), 2);    // (1, 4) halves survive
-
-  // Sweeping changed nothing a decay-aware reader can observe.
-  auto after = dyn.MakeSnapshot();
-  EXPECT_EQ(after.Degree(1), 3);
-  EXPECT_NEAR(after.TotalWeight(1), 4.0, 1e-9);
-
-  // Once everything ages out, reads drop to the pure base path.
-  clock.SetSeconds(1000);
-  ASSERT_TRUE(scheduler.RunOnceForTest("ttl_decay").ok());
-  EXPECT_EQ(dyn.num_delta_entries(), 0);
-  auto empty = dyn.MakeSnapshot();
-  EXPECT_FALSE(empty.HasDelta(1));
-  EXPECT_EQ(empty.Degree(1), 2);  // base user + item 2
-}
-
-TEST(TtlDecayTest, DecayedWeightsAlterSampledDistribution) {
-  // Base: query 1 -> user 0 (w=1), item 2 (w=1); delta item 3 (w=4, t=0).
-  // At age = one half-life the delta contributes weight 2, so the exact
-  // distribution is {0: 1/4, 2: 1/4, 3: 2/4} — versus {1/6, 1/6, 4/6} raw.
-  HeteroGraph g = MakeTinyGraph(4, {1.0f});
-  GraphDeltaLog log(1);
-  auto dyn_owner = MakeDynamic(&g);
-  DynamicHeteroGraph& dyn = *dyn_owner;
-  ManualClock clock(100);
-  TtlDecayPolicy policy(&dyn, &clock, DecaySpec::Window(0, 100.0));
-
-  ASSERT_TRUE(
-      dyn.ApplyBatch(
-             MakeBatch(&log, 0, {{1, 3, RelationKind::kClick, 4.0f, 0}}))
-          .ok());
-  auto snap = dyn.MakeSnapshot();
-  EXPECT_NEAR(snap.TotalWeight(1), 4.0, 1e-6);  // 1 + 1 + 4/2
-
-  auto freq = SampleFrequencies(snap, 1, 60000, 23);
-  EXPECT_NEAR(freq[0], 0.25, 0.015);
-  EXPECT_NEAR(freq[2], 0.25, 0.015);
-  EXPECT_NEAR(freq[3], 0.50, 0.015);
-
-  // One more half-life: the same edge now counts 1 of 3.
-  clock.AdvanceSeconds(100);
-  auto older = dyn.MakeSnapshot();
-  EXPECT_NEAR(older.TotalWeight(1), 3.0, 1e-6);
-  auto freq2 = SampleFrequencies(older, 1, 60000, 29);
-  EXPECT_NEAR(freq2[3], 1.0 / 3.0, 0.015);
-
-  // The merged neighbor list reports the decayed weight too.
-  std::vector<graph::NeighborEntry> merged;
-  older.Neighbors(1, &merged);
-  for (const auto& e : merged) {
-    if (e.neighbor == 3) {
-      EXPECT_NEAR(e.weight, 1.0f, 1e-5f);
-    }
-  }
-}
-
-TEST(TtlDecayTest, PerViewWindowsServeTwoHorizonsFromOneStream) {
-  HeteroGraph g = MakeTinyGraph(4);
-  GraphDeltaLog log(1);
-  auto dyn_owner = MakeDynamic(&g);
-  DynamicHeteroGraph& dyn = *dyn_owner;
-  ManualClock clock(24 * 3600);
-  // Install only the clock; each view brings its own window.
-  dyn.SetClock(&clock);
-
-  // A click from half an hour ago and one from twenty hours ago.
-  ASSERT_TRUE(dyn.ApplyBatch(
-                     MakeBatch(&log, 0,
-                               {{1, 2, RelationKind::kClick, 1.0f,
-                                 24 * 3600 - 1800},
-                                {1, 3, RelationKind::kClick, 1.0f,
-                                 4 * 3600}}))
-                  .ok());
-
-  DynamicGraphView hour_view(&dyn, DecaySpec::Window(3600, 0.0));
-  DynamicGraphView day_view(&dyn, DecaySpec::Window(24 * 3600, 0.0));
-  EXPECT_EQ(hour_view.degree(1), 2);  // base user edge + the recent click
-  EXPECT_EQ(day_view.degree(1), 3);   // both clicks
-
-  graph::NeighborScratch scratch;
-  auto hour_block = hour_view.Neighbors(1, &scratch);
-  for (int64_t i = 0; i < hour_block.size(); ++i) {
-    EXPECT_NE(hour_block.ids[i], 3);
-  }
-  graph::NeighborScratch day_scratch;
-  auto day_block = day_view.Neighbors(1, &day_scratch);
-  bool sees_old = false;
-  for (int64_t i = 0; i < day_block.size(); ++i) {
-    sees_old |= day_block.ids[i] == 3;
-  }
-  EXPECT_TRUE(sees_old);
-
-  // Refresh re-reads the clock: one more hour retires the newer click from
-  // the 1-hour view while the 1-day view keeps both.
-  clock.AdvanceSeconds(3600);
-  hour_view.Refresh();
-  day_view.Refresh();
-  EXPECT_EQ(hour_view.degree(1), 1);
-  EXPECT_EQ(day_view.degree(1), 3);
-}
-
-TEST(TtlDecayTest, CompactDropsExpiredEntriesInsteadOfResurrecting) {
-  // An entry past its TTL is invisible to every decay-aware reader; a
-  // compaction racing the GC sweep must not fold it into the (never
-  // windowed) base CSR at full weight. Surviving entries fold at raw
-  // weight — graduation into the offline aggregate.
-  HeteroGraph g = MakeTinyGraph(4);
-  GraphDeltaLog log(1);
-  auto dyn_owner = MakeDynamic(&g);
-  DynamicHeteroGraph& dyn = *dyn_owner;
-  ManualClock clock(120);
-  TtlDecayPolicy policy(&dyn, &clock, DecaySpec::Window(50, 100.0));
-
-  ASSERT_TRUE(
-      dyn.ApplyBatch(MakeBatch(&log, 0,
-                               {{1, 3, RelationKind::kClick, 5.0f, 0},
-                                {1, 4, RelationKind::kClick, 2.0f, 100}}))
-          .ok());
-  // Compact WITHOUT a prior expiry sweep: (1, 3) is expired (age 120) and
-  // must vanish; (1, 4) is alive (age 20, decayed for readers) and must
-  // fold at its raw weight 2.
-  ASSERT_TRUE(dyn.Compact().ok());
-  auto base = dyn.base();
-  EXPECT_EQ(base->degree(1), 2);  // user edge + item 4 only
-  auto ids = base->neighbor_ids(1);
-  auto weights = base->neighbor_weights(1);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_NE(ids[i], 3);
-    if (ids[i] == 4) {
-      EXPECT_FLOAT_EQ(weights[i], 2.0f);
-    }
-  }
-}
-
 // --- HotNodeOverlayCache ----------------------------------------------------
 
 TEST(HotNodeCacheTest, MaterializedSamplingMatchesExactWeights) {
@@ -591,70 +406,6 @@ TEST(HotNodeCacheTest, ApplyInvalidatesAndFreshEdgesStayVisible) {
   ASSERT_GE(cache.size(), 1u);
   ASSERT_TRUE(dyn.Compact().ok());
   EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(HotNodeCacheTest, DecayedEntriesExpireWithTheClock) {
-  HeteroGraph g = MakeTinyGraph(4, {1.0f});
-  GraphDeltaLog log(1);
-  auto dyn_owner = MakeDynamic(&g);
-  DynamicHeteroGraph& dyn = *dyn_owner;
-  ManualClock clock(100);
-  TtlDecayPolicy decay(&dyn, &clock, DecaySpec::Window(0, 100.0));
-  HotNodeCacheOptions copt;
-  copt.min_delta_entries = 1;
-  copt.decay_staleness_tolerance_seconds = 0;
-  HotNodeOverlayCache cache(g.num_nodes(), copt);
-  HotNodeRefreshPolicy policy(&dyn, &cache);
-
-  ASSERT_TRUE(
-      dyn.ApplyBatch(
-             MakeBatch(&log, 0, {{1, 3, RelationKind::kClick, 4.0f, 0}}))
-          .ok());
-  ASSERT_TRUE(policy.RunOnce().ok());
-
-  // Same as_of: entry serves, with decayed total (1 + 1 + 2).
-  auto snap = dyn.MakeSnapshot();
-  std::vector<graph::NeighborEntry> merged;
-  snap.Neighbors(1, &merged);
-  EXPECT_GT(cache.Stats().hits, 0);
-  for (const auto& e : merged) {
-    if (e.neighbor == 3) {
-      EXPECT_NEAR(e.weight, 2.0f, 1e-5f);
-    }
-  }
-
-  // Clock moved: decayed weights drifted, the stale as_of must not serve.
-  clock.AdvanceSeconds(100);
-  const int64_t hits_before = cache.Stats().hits;
-  auto later = dyn.MakeSnapshot();
-  later.Neighbors(1, &merged);
-  EXPECT_EQ(cache.Stats().hits, hits_before);
-  for (const auto& e : merged) {
-    if (e.neighbor == 3) {
-      EXPECT_NEAR(e.weight, 1.0f, 1e-5f);
-    }
-  }
-
-  // The next refresh re-materializes at the new as_of and serves again.
-  ASSERT_TRUE(policy.RunOnce().ok());
-  auto freshest = dyn.MakeSnapshot();
-  freshest.Neighbors(1, &merged);
-  EXPECT_GT(cache.Stats().hits, hits_before);
-
-  // A per-view window with a different horizon must not be handed the
-  // graph-default merge: same as_of, different spec => miss + correct
-  // (raw-weight) resolution through the slow path.
-  const int64_t hits_after_refresh = cache.Stats().hits;
-  auto wide = dyn.MakeSnapshot(DecaySpec::Window(0, 100000.0));
-  wide.Neighbors(1, &merged);
-  EXPECT_EQ(cache.Stats().hits, hits_after_refresh);
-  for (const auto& e : merged) {
-    // Half-life 100000s at age 200 is ~full weight, far from the 1.0 the
-    // graph-default (half-life 100) merge carries.
-    if (e.neighbor == 3) {
-      EXPECT_GT(e.weight, 3.9f);
-    }
-  }
 }
 
 // --- Janitor-triggered Compact() racing mid-ingest --------------------------
@@ -948,10 +699,30 @@ TEST(BaselineGraphViewTest, GnnBaselineScoresFreshEdgesThroughDynamicView) {
 
 // --- Serving-layer coordination ---------------------------------------------
 
-TEST(ServingMaintenanceTest, TtlSweepInvalidatesNeighborCacheViaScheduler) {
-  // An ingested click surfaces in the serving NeighborCache; once it ages
-  // past TTL, the janitor sweep's touched-node report must flow through
-  // OnlineServer::AttachMaintenance into an invalidation + windowed re-fill.
+/// Reports `touched` from every pass: the shape of any policy whose pass
+/// changes node neighborhoods behind the ingest pipeline's update hooks.
+class TouchingPolicy final : public MaintenancePolicy {
+ public:
+  explicit TouchingPolicy(std::vector<NodeId> touched)
+      : touched_(std::move(touched)) {}
+
+  const char* name() const override { return "touching"; }
+  StatusOr<MaintenanceReport> RunOnce() override {
+    MaintenanceReport report;
+    report.acted = true;
+    report.touched = touched_;
+    return report;
+  }
+
+ private:
+  std::vector<NodeId> touched_;
+};
+
+TEST(ServingMaintenanceTest, TouchedNodesInvalidateNeighborCacheViaScheduler) {
+  // An ingested click surfaces in the serving NeighborCache. An edge applied
+  // behind the pipeline's update hooks leaves the cached entry stale until a
+  // maintenance pass reports the node touched; that report must flow
+  // through OnlineServer::AttachMaintenance into an invalidation + re-fill.
   const int dim = 8;
   const int num_items = 6;
   HeteroGraph g = MakeTinyGraph(num_items);
@@ -971,10 +742,8 @@ TEST(ServingMaintenanceTest, TtlSweepInvalidatesNeighborCacheViaScheduler) {
   auto dyn_owner = MakeDynamic(&g);
   DynamicHeteroGraph& dyn = *dyn_owner;
   server.AttachDynamicGraph(&dyn);
-  ManualClock clock(1000);
   MaintenanceScheduler scheduler;
-  scheduler.AddPolicy(std::make_unique<TtlDecayPolicy>(
-                          &dyn, &clock, DecaySpec::Window(500, 0.0)),
+  scheduler.AddPolicy(std::make_unique<TouchingPolicy>(std::vector<NodeId>{1}),
                       {});
   server.AttachMaintenance(&scheduler);
 
@@ -996,35 +765,40 @@ TEST(ServingMaintenanceTest, TtlSweepInvalidatesNeighborCacheViaScheduler) {
   ASSERT_TRUE(pipeline.Offer(session));
   pipeline.Flush();
 
-  auto query_has_item = [&] {
-    std::vector<NodeId> out;
-    // Warm-path read: the cache was invalidated by the hooks, so poll for
-    // the async re-fill to land.
+  // Warm-path read: poll until the cached entry of query 1 holds `item`
+  // (the hooks invalidated it, so an asynchronous re-fill must land).
+  auto query_gets = [&](NodeId item) {
     for (int i = 0; i < 2000; ++i) {
-      if (server.cache().Get(1, &out)) {
-        return std::find(out.begin(), out.end(), fresh_item) != out.end();
+      std::vector<NodeId> out;
+      if (server.cache().Get(1, &out) &&
+          std::find(out.begin(), out.end(), item) != out.end()) {
+        return true;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return false;
   };
-  EXPECT_TRUE(query_has_item());
+  EXPECT_TRUE(query_gets(fresh_item));
 
-  // Age the click past its TTL and sweep: the report's touched nodes reach
-  // the server's NeighborCache, and the re-fill excludes the expired edge.
-  clock.AdvanceSeconds(600);
-  auto r = scheduler.RunOnceForTest("ttl_decay");
+  // Apply a click straight to the graph: no update hook fires, so the
+  // cached entry keeps serving the old neighbors.
+  const NodeId hidden_item = 2 + 5;
+  ASSERT_TRUE(
+      dyn.ApplyBatch(MakeBatch(&log, 0,
+                               {{1, hidden_item, RelationKind::kClick, 1.0f,
+                                 1000}},
+                               &dyn))
+          .ok());
+  std::vector<NodeId> stale;
+  ASSERT_TRUE(server.cache().Get(1, &stale));
+  EXPECT_EQ(std::find(stale.begin(), stale.end(), hidden_item), stale.end());
+
+  // The pass's touched-node report reaches the server's NeighborCache, and
+  // the re-fill sees the new edge.
+  auto r = scheduler.RunOnceForTest("touching");
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.value().acted);
-  bool gone = false;
-  for (int i = 0; i < 2000 && !gone; ++i) {
-    std::vector<NodeId> out;
-    if (server.cache().Get(1, &out)) {
-      gone = std::find(out.begin(), out.end(), fresh_item) == out.end();
-    }
-    if (!gone) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(gone);
+  EXPECT_TRUE(query_gets(hidden_item));
   pipeline.Stop();
 }
 
@@ -1038,6 +812,15 @@ std::unique_ptr<DynamicHeteroGraph> MakeSegmented(const HeteroGraph* g) {
   return std::make_unique<DynamicHeteroGraph>(g, opt);
 }
 
+/// Segments some fold has rebuilt (folded_epoch stamped), ascending.
+std::vector<int64_t> FoldedSegments(const DynamicHeteroGraph& dyn) {
+  std::vector<int64_t> out;
+  for (const auto& p : dyn.SegmentPressures()) {
+    if (p.folded_epoch > 0) out.push_back(p.segment);
+  }
+  return out;
+}
+
 TEST(IncrementalCompactionPolicyTest, FoldsOnlySegmentsOverBudget) {
   HeteroGraph g = MakeTinyGraph(14);
   GraphDeltaLog log(1);
@@ -1048,11 +831,6 @@ TEST(IncrementalCompactionPolicyTest, FoldsOnlySegmentsOverBudget) {
   opt.segment_entry_budget = 6;
   opt.read_hot_boost = 1.0;  // pure entry budget (adaptation off)
   CompactionPolicy policy(&dyn, &log, /*clock=*/nullptr, opt);
-  // A (non-expiring) TTL window makes the policy report folded_ranges —
-  // without one, folds preserve distributions and report nothing.
-  ManualClock clock;
-  clock.SetSeconds(100);
-  dyn.ConfigureDecay(DecaySpec::Window(1 << 30, 0.0), &clock);
 
   // Segment 2 (rows 8..11) runs hot: 4 same-segment edges = 8 half-edges
   // there. Segment 0 stays just warm: 1 edge = 2 half-edges.
@@ -1074,9 +852,7 @@ TEST(IncrementalCompactionPolicyTest, FoldsOnlySegmentsOverBudget) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().acted);
   EXPECT_EQ(policy.incremental_compactions(), 1);
-  ASSERT_EQ(r.value().folded_ranges.size(), 1u);
-  EXPECT_EQ(r.value().folded_ranges[0].first, 8);
-  EXPECT_EQ(r.value().folded_ranges[0].second, 12);
+  EXPECT_EQ(FoldedSegments(dyn), std::vector<int64_t>{2});  // rows 8..11
 
   // Only segment 2 was rebuilt; segment 0's overlay survived untouched and
   // the other segments are shared pointers.
@@ -1108,9 +884,6 @@ TEST(IncrementalCompactionPolicyTest, ReadHotSegmentsFoldSooner) {
   opt.segment_entry_budget = 7;
   opt.read_hot_boost = 4.0;
   CompactionPolicy policy(&dyn, &log, nullptr, opt);
-  ManualClock clock;
-  clock.SetSeconds(100);
-  dyn.ConfigureDecay(DecaySpec::Window(1 << 30, 0.0), &clock);
 
   // Equal delta mass (4 half-edges each) in segments 2 and 3.
   ASSERT_TRUE(dyn.ApplyBatch(MakeBatch(&log, 0,
@@ -1138,8 +911,7 @@ TEST(IncrementalCompactionPolicyTest, ReadHotSegmentsFoldSooner) {
   r = policy.RunOnce();
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.value().acted) << "read-hot segment should fold below budget";
-  ASSERT_EQ(r.value().folded_ranges.size(), 1u);
-  EXPECT_EQ(r.value().folded_ranges[0].first, 8);   // segment 2, not 3
+  EXPECT_EQ(FoldedSegments(dyn), std::vector<int64_t>{2});  // not 3
   auto pressures = dyn.SegmentPressures();
   EXPECT_EQ(pressures[2].delta_entries, 0);
   EXPECT_EQ(pressures[3].delta_entries, 4);
@@ -1195,14 +967,9 @@ TEST(HotNodeCacheTest, ReadHammeredSegmentsAdmitAtLowerDeltaThreshold) {
                 ->Value(),
             1.0);
   auto snap = dyn.MakeSnapshot();
-  const DecaySpec no_decay;
-  EXPECT_TRUE(cache.IsFresh(8, dyn.node_epoch(8), snap.segment_generation(8),
-                            /*decay_active=*/false, /*as_of_seconds=*/0,
-                            no_decay));
+  EXPECT_TRUE(cache.IsFresh(8, dyn.node_epoch(8), snap.segment_generation(8)));
   EXPECT_FALSE(cache.IsFresh(12, dyn.node_epoch(12),
-                             snap.segment_generation(12),
-                             /*decay_active=*/false, /*as_of_seconds=*/0,
-                             no_decay));
+                             snap.segment_generation(12)));
 }
 
 TEST(IncrementalCompactionPolicyTest, GlobalThresholdStillForcesFullFold) {
@@ -1227,41 +994,6 @@ TEST(IncrementalCompactionPolicyTest, GlobalThresholdStillForcesFullFold) {
   EXPECT_EQ(policy.incremental_compactions(), 0);
   EXPECT_EQ(dyn.num_delta_entries(), 0);
   EXPECT_EQ(log.Stats().total_events, 0);  // SafeTruncateEpoch == watermark
-  // No TTL window => the fold preserved every distribution and reported no
-  // ranges — serving caches see zero invalidation (no refill storm).
-  EXPECT_TRUE(r.value().folded_ranges.empty());
-}
-
-TEST(TtlDecayTest, SweepTruncatesFullyExpiredLogBatches) {
-  HeteroGraph g = MakeTinyGraph(4);
-  GraphDeltaLog log(1);
-  auto dyn_owner = MakeDynamic(&g);
-  DynamicHeteroGraph& dyn = *dyn_owner;
-  ManualClock clock;
-  clock.SetSeconds(1000);
-  DecaySpec spec = DecaySpec::Window(/*ttl_seconds=*/100, 0.0);
-  TtlDecayPolicy policy(&dyn, &clock, spec, &log);
-
-  // One aged batch, one fresh; both applied (watermark covers them).
-  ASSERT_TRUE(dyn.ApplyBatch(MakeBatch(&log, 0,
-                                       {{1, 2, RelationKind::kClick, 1.f,
-                                         /*timestamp=*/850}},
-                                       &dyn))
-                  .ok());
-  ASSERT_TRUE(dyn.ApplyBatch(MakeBatch(&log, 0,
-                                       {{1, 3, RelationKind::kClick, 1.f,
-                                         /*timestamp=*/990}},
-                                       &dyn))
-                  .ok());
-  auto r = policy.RunOnce();
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r.value().acted);
-  // The overlay sweep dropped the aged entries AND the log dropped the
-  // batch that carried them — a quiet stream no longer pins it until the
-  // next fold.
-  EXPECT_EQ(policy.log_batches_truncated(), 1);
-  EXPECT_EQ(log.Stats().total_batches, 1);
-  EXPECT_EQ(dyn.num_delta_entries(), 2);  // the fresh edge's two halves
 }
 
 }  // namespace

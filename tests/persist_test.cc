@@ -5,11 +5,13 @@
 // artifact, and the janitor CheckpointPolicy cadence.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -256,6 +258,53 @@ TEST(WalTest, FileNameRoundTrip) {
   EXPECT_EQ(start, 42u);
   EXPECT_FALSE(ParseWalFileName("wal-abc.log", &start));
   EXPECT_FALSE(ParseWalFileName("seg-000001-g2.ckpt", &start));
+}
+
+TEST(WalTest, StartRacingAppendsTeesEveryLaterBatchOnce) {
+  // A persister started while another thread appends: every batch above the
+  // epoch the active file is named after reaches the WAL exactly once,
+  // whether it landed before the observer attached (replayed by the attach)
+  // or after (teed by the observer). Under TSan this also checks the lock
+  // order between Start and Append.
+  TempDir dir("wal_start_race");
+  constexpr int kShards = 4;
+  GraphDeltaLog log(kShards);
+  std::atomic<bool> stop{false};
+  std::thread appender([&] {
+    for (int64_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
+      log.Append(static_cast<int>(i % kShards),
+                 {{0, 1, RelationKind::kClick, 1.0f, i}});
+    }
+  });
+  auto await_epoch = [&log](uint64_t epoch) {
+    while (log.last_epoch() < epoch) std::this_thread::yield();
+  };
+  await_epoch(64);
+  DeltaLogPersister persister(&log, dir.path);
+  const Status started = persister.Start(/*checkpoint_epoch=*/0);
+  if (started.ok()) await_epoch(log.last_epoch() + 64);
+  stop.store(true, std::memory_order_release);
+  appender.join();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  ASSERT_TRUE(persister.Stop().ok());
+  const uint64_t last = log.last_epoch();
+
+  const std::vector<std::string> files = persister.LiveFiles();
+  ASSERT_EQ(files.size(), 1u);
+  uint64_t first = 0;
+  ASSERT_TRUE(
+      ParseWalFileName(fs::path(files[0]).filename().string(), &first));
+  EXPECT_GT(first, 64u);
+  auto read = ReadWal(files[0]);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  std::map<uint64_t, int> copies;
+  for (const WalRecord& rec : read.value().records) ++copies[rec.batch.epoch];
+  for (const auto& [epoch, n] : copies) {
+    EXPECT_EQ(n, 1) << "epoch " << epoch << " teed twice";
+  }
+  for (uint64_t e = first; e <= last; ++e) {
+    EXPECT_EQ(copies.count(e), 1u) << "epoch " << e << " missing from the WAL";
+  }
 }
 
 // --- Checkpoint + recovery round trip -------------------------------------

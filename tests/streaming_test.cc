@@ -504,16 +504,12 @@ void ExpectDraws(const DrawRecord& rec, const std::vector<NodeId>& draws,
 TEST(DynamicGraphTest, DrawSequencesPinnedAcrossSnapshotCases) {
   // Fixed-seed draw sequences pinned as constants: any change in how the
   // snapshot consumes the Rng moves them. Nodes cover an untouched base row
-  // (0), a weighted overlay row (1), a base row whose only delta the window
-  // expires (4), a base-less row whose only live delta under the window
-  // weighs zero (5), an overlay-born weighted row (8) and an overlay-born
-  // all-zero-weight row (9). The windowed snapshot adds TTL exclusion and
-  // decayed weights.
+  // (0), a weighted overlay row (1), a base row plus one delta (4), a row
+  // with no base edges drawn only from its deltas (5), an overlay-born
+  // weighted row (8) and an overlay-born all-zero-weight row (9).
   HeteroGraph g = MakeTinyGraph(6, {1.0f, 3.0f, 0.5f});
   GraphDeltaLog log(1);
   DynamicHeteroGraph dyn(&g);
-  ManualClock clock(120);
-  dyn.SetClock(&clock);
   ASSERT_TRUE(dyn.ApplyBatch(MakeBatch(&log, 0,
                                        {{1, 5, RelationKind::kClick, 2.0f, 0},
                                         {1, 6, RelationKind::kClick, 4.0f, 90},
@@ -537,13 +533,6 @@ TEST(DynamicGraphTest, DrawSequencesPinnedAcrossSnapshotCases) {
               6054656398199680410ull,
               {{1}, {3, 2, 6, 5}, {1, 6}, {1}, {3, 2}, {7, 5}},
               11070049676804575897ull);
-  ExpectDraws(RecordDraws(dyn.MakeSnapshot(DecaySpec::Window(50, 100.0)),
-                          nodes, 4, 4243),
-              {1, 1, 1, 1, 6, 6, 3, 3, 1, 1, 1, 1,
-               9, 9, 9, 9, 2, 3, 2, 2, 7, 5, 7, 7},
-              16019359982729784836ull,
-              {{1}, {6, 3, 4, 0}, {1}, {9}, {3, 2}, {7, 5}},
-              15230629811859829421ull);
 }
 
 TEST(DynamicGraphTest, ConcurrentBatchedSamplingDuringFoldIsRaceFree) {
@@ -1950,85 +1939,6 @@ TEST(NodeCapacityTest, TypedAllocationEnforcesPerTypeCap) {
   pipeline.Flush();
   EXPECT_GT(dyn.MakeSnapshot().Degree(id1.value()), 0);
   pipeline.Stop();
-}
-
-// --- TTL'd truncation of the delta log itself -------------------------------
-
-TEST(DeltaLogTtlTest, TruncateExpiredDropsOnlyFullyAgedAppliedBatches) {
-  GraphDeltaLog log(2);
-  // Old batch: every event aged out. Mixed batch: one event still fresh.
-  log.Append(0, {{0, 1, RelationKind::kClick, 1.0f, /*timestamp=*/100}});
-  const uint64_t mixed =
-      log.Append(1, {{0, 1, RelationKind::kClick, 1.0f, 100},
-                     {1, 2, RelationKind::kClick, 1.0f, 950}});
-  const uint64_t fresh_epoch =
-      log.Append(0, {{1, 2, RelationKind::kSession, 1.0f, 990}});
-
-  DecaySpec spec = DecaySpec::Window(/*ttl_seconds=*/200,
-                                     /*half_life_seconds=*/0.0);
-  // max_epoch below the old batch: nothing droppable yet (unapplied guard).
-  EXPECT_EQ(log.TruncateExpired(spec, /*now=*/1000, /*max_epoch=*/0), 0);
-  // Applied watermark covers everything: only the fully-aged batch drops.
-  EXPECT_EQ(log.TruncateExpired(spec, 1000, fresh_epoch), 1);
-  auto left = log.ReadSince(0);
-  ASSERT_EQ(left.size(), 2u);
-  EXPECT_EQ(left[0].epoch, mixed);
-  EXPECT_EQ(log.Stats().total_events, 3);
-  // No TTL configured => never drops.
-  EXPECT_EQ(log.TruncateExpired(DecaySpec{}, 1000000, fresh_epoch), 0);
-}
-
-// --- Node-TTL groundwork (cold-start reclamation at fold time) --------------
-
-TEST(ColdNodeTtlTest, IsolatedColdNodesFoldToStubsAndReclaim) {
-  HeteroGraph g = MakeTinyGraph(2);
-  DynamicHeteroGraphOptions opt;
-  opt.segment_span = 4;
-  opt.cold_node_ttl_seconds = 100;
-  GraphDeltaLog log(1);
-  DynamicHeteroGraph dyn(&g, opt);
-  ManualClock clock;
-  clock.SetSeconds(1000);
-  dyn.SetClock(&clock);
-
-  // Cold arrival: a node that never accumulates an edge. Warm arrival: a
-  // node introduced with a click (lifetime traffic > cold_node_max_degree).
-  auto cold_batch = MakeNodeBatch(&log, 0, &dyn, {MakeItemEvent(0.4f, 1000)});
-  ASSERT_TRUE(dyn.ApplyBatch(cold_batch).ok());
-  const NodeId cold_id = cold_batch.node_events[0].id;
-  auto warm_batch = MakeNodeBatch(
-      &log, 0, &dyn, {MakeItemEvent(0.6f, 1000)},
-      {{1, -1, RelationKind::kClick, 2.0f, 1000}});
-  ASSERT_TRUE(dyn.ApplyBatch(warm_batch).ok());
-  const NodeId warm_id = warm_batch.node_events[0].id;
-
-  // Before the TTL elapses, a fold keeps the cold node's payload.
-  ASSERT_TRUE(dyn.Compact().ok());
-  EXPECT_EQ(dyn.expired_cold_nodes(), 0);
-  auto snap1 = dyn.MakeSnapshot();
-  EXPECT_FLOAT_EQ(snap1.content(cold_id)[0], 0.4f);
-
-  // A later fold past the TTL reclaims it: stub row, zeroed content, type
-  // retained, id-space stable; the warm node is untouched.
-  clock.AdvanceSeconds(200);
-  ASSERT_TRUE(dyn.Compact().ok());
-  EXPECT_EQ(dyn.expired_cold_nodes(), 0)
-      << "already-folded rows must not re-qualify";
-  // Reclamation happens at the fold that first absorbs the node past its
-  // TTL — mint a fresh cold node and age it out.
-  auto cold2 = MakeNodeBatch(&log, 0, &dyn, {MakeItemEvent(0.7f, 1200)});
-  ASSERT_TRUE(dyn.ApplyBatch(cold2).ok());
-  const NodeId cold2_id = cold2.node_events[0].id;
-  clock.AdvanceSeconds(300);
-  ASSERT_TRUE(dyn.Compact().ok());
-  EXPECT_EQ(dyn.expired_cold_nodes(), 1);
-  auto snap2 = dyn.MakeSnapshot();
-  ASSERT_GT(snap2.num_nodes(), cold2_id);
-  EXPECT_EQ(snap2.node_type(cold2_id), NodeType::kItem);
-  EXPECT_EQ(snap2.Degree(cold2_id), 0);
-  EXPECT_FLOAT_EQ(snap2.content(cold2_id)[0], 0.0f);  // reclaimed payload
-  EXPECT_GT(snap2.Degree(warm_id), 0);
-  EXPECT_FLOAT_EQ(snap2.content(warm_id)[0], 0.6f);
 }
 
 // --- CompactSegments racing online node minting (TSan) ----------------------
